@@ -139,7 +139,7 @@ def cmd_identities(args) -> int:
     elif args.set == "lemma31":
         exps = None
         if args.exponents:
-            exps = [ExponentTuple.from_seq([int(x) for x in e.split(",")]) for e in args.exponents]
+            exps = [_parse_exponents(e) for e in args.exponents]
         report = check_power_suite(bundle, exps, seed=args.seed)
     else:
         raise BihomError(f"unknown identity set {args.set!r}")
@@ -147,6 +147,16 @@ def cmd_identities(args) -> int:
     if args.report:
         _write_report(report, args.report, bundle.content_hash())
     return _exit_code(report.overall)
+
+
+def _parse_exponents(text: str) -> ExponentTuple:
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 8:
+        raise BihomError(f"bad exponent tuple {text!r} (want eight integers m,n,l,s,p,q,k,t)")
+    return ExponentTuple.from_seq(values)
 
 
 def _parse_twist(value: str) -> TwistSpec:
@@ -264,13 +274,18 @@ def cmd_catalog(args) -> int:
 
 def _parse_entry_range(text: str) -> list:
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if "-" in piece:
-            lo, hi = piece.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(piece))
+    try:
+        for piece in text.split(","):
+            piece = piece.strip()
+            if "-" in piece:
+                lo, hi = piece.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(piece))
+    except ValueError:
+        raise BihomError(
+            f"bad entry list {text!r} (want a range like 24-26 or a list like 1,5,7)"
+        ) from None
     return out
 
 

@@ -9,28 +9,46 @@ internal evaluation strategy.
 
 Negative map powers are resolved when an identity is bound to a bundle; a
 singular map makes the verdict inapplicable rather than pass/fail.
+
+The walk runs on a compiled form of the bound identity, built once per
+check_identity call. Every monomial (after cyc expansion) is hash-consed
+into one DAG, so a subterm shared by several monomials, such as b(x) or the
+inner tbr(b(x), b(y), a(z)) of tjacobi, is one node; identical monomials
+merge into one term with the summed coefficient. A chain of maps over a
+variable is a column lookup in its pre-powered matrix. Every other node that
+leaves out at least one variable is memoized by the basis indices of the
+variables it contains; a node over every variable is evaluated afresh,
+because no later tuple can reuse it. The memo tables live for that one call.
+Values are plain coordinate tuples fed to the private kernels behind
+LinMap.apply and MultiOp.apply.
+
+The compiled sum is exact, so it decides zero/nonzero exactly, but it adds
+terms in another order than BoundIdentity.eval_at. Polynomial fractions are
+never gcd-reduced, so another order can print another numerator/denominator
+pair for the same value; the residual of the reported counterexample is
+therefore recomputed by the reference walk, eval_at, which keeps report
+bytes independent of the evaluation strategy.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bundle import AlgebraBundle
-from .dsl import (
-    CycSum,
-    Identity,
-    MapApply,
-    Node,
-    OpApply,
-    Var,
-    expand_identity,
-    parse_identity,
+from .dsl import Identity, MapApply, Node, OpApply, Var, expand_identity
+from .errors import (
+    ArityMismatch,
+    ConstraintViolated,
+    NoSamplePoints,
+    NotInvertible,
+    UnknownName,
 )
-from .errors import ArityMismatch, ConstraintViolated, NotInvertible, UnknownName
-from .linear import LinMap, MultiOp, Vector
+from .linear import Vector
+from .scalars import Scalar
 
 
 @dataclass
@@ -126,6 +144,92 @@ class BoundIdentity:
         return total
 
 
+def _compile(bound: BoundIdentity) -> list:
+    """The bound identity as [(coeff, coeff as a Scalar, evaluator)], one
+    term per distinct monomial; an evaluator maps a basis tuple to the
+    coordinate tuple of its monomial's value."""
+    names = bound.ident.vars
+    position = {name: i for i, name in enumerate(names)}
+    params = bound.bundle.ring.params
+    dim = bound.bundle.space.dim
+    zero, one = Scalar.zero(params), Scalar.one(params)
+    units = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
+    # node -> (sorted variable positions, evaluator, columns or None);
+    # columns[j] is the value of a variable-only chain at basis vector j
+    nodes: dict = {}
+
+    def lookup(columns, i):
+        return lambda tup: columns[tup[i]]
+
+    def memoized(fn, positions):
+        if len(positions) == len(names):
+            return fn
+        key_of = operator.itemgetter(*positions)
+        memo: dict = {}
+
+        def get(tup):
+            key = key_of(tup)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = fn(tup)
+            return value
+
+        return get
+
+    def build(node):
+        hit = nodes.get(node)
+        if hit is not None:
+            return hit
+        if isinstance(node, Var):
+            i = position[node.name]
+            out = ((i,), lookup(units, i), units)
+        elif isinstance(node, MapApply):
+            matrix = bound._matrices[(node.map_name, node.power)]
+            positions, child, columns = build(node.child)
+            if columns is None:
+                apply = matrix._apply
+                out = (positions, memoized(lambda tup: apply(child(tup)), positions), None)
+            else:
+                if isinstance(node.child, Var):
+                    columns = list(zip(*matrix.rows))
+                else:
+                    columns = [matrix._apply(c) for c in columns]
+                out = (positions, lookup(columns, positions[0]), columns)
+        else:
+            apply = bound._ops[node.op_name]._apply
+            built = [build(c) for c in node.children]
+            positions = tuple(sorted({i for p, _, _ in built for i in p}))
+            children = [fn for _, fn, _ in built]
+            fn = lambda tup: apply([child(tup) for child in children])
+            out = (positions, memoized(fn, positions), None)
+        nodes[node] = out
+        return out
+
+    coeffs: dict = {}
+    for coeff, node in bound.monomials:
+        coeffs[node] = coeffs.get(node, 0) + coeff
+    return [
+        (coeff, Scalar.rational(coeff, params), build(node)[1])
+        for node, coeff in coeffs.items()
+        if coeff
+    ]
+
+
+def _residual_is_zero(terms: list, tup: tuple, zeros: list) -> bool:
+    acc = list(zeros)
+    for coeff, scalar, fn in terms:
+        for k, c in enumerate(fn(tup)):
+            if c.is_zero():
+                continue
+            if coeff == 1:
+                acc[k] = acc[k] + c
+            elif coeff == -1:
+                acc[k] = acc[k] - c
+            else:
+                acc[k] = acc[k] + scalar * c
+    return all(c.is_zero() for c in acc)
+
+
 def check_identity(
     ident: Identity, bundle: AlgebraBundle, identity_id: str = "identity"
 ) -> Verdict:
@@ -137,20 +241,37 @@ def check_identity(
         return Verdict(identity_id, "inapplicable", f"non-invertible map: {exc}")
     dim = bundle.space.dim
     params = bundle.ring.params
-    basis = [Vector.basis(bundle.space, i, params) for i in range(dim)]
     names = bound.ident.vars
+    terms = _compile(bound)
+    zeros = [Scalar.zero(params)] * dim
     for tup in itertools.product(range(dim), repeat=len(names)):
-        assignment = {name: basis[i] for name, i in zip(names, tup)}
-        residual = bound.eval_at(assignment)
-        if not residual.is_zero():
-            return Verdict(
-                identity_id,
-                "fail",
-                counterexample=Counterexample(
-                    tup, tuple(c.text() for c in residual.coords)
-                ),
-            )
+        if _residual_is_zero(terms, tup, zeros):
+            continue
+        basis = [Vector.basis(bundle.space, i, params) for i in range(dim)]
+        residual = bound.eval_at({name: basis[i] for name, i in zip(names, tup)})
+        return Verdict(
+            identity_id,
+            "fail",
+            counterexample=Counterexample(tup, tuple(c.text() for c in residual.coords)),
+        )
     return Verdict(identity_id, "pass")
+
+
+def checked_points(
+    bundle: AlgebraBundle, points: Sequence[Mapping[str, Fraction]] | None
+) -> list:
+    """The points of a sampled check as exact rationals. There must be at
+    least one, and each must satisfy the bundle's constraints exactly."""
+    if not points:
+        raise NoSamplePoints()
+    out = []
+    for point in points:
+        point = {k: Fraction(v) for k, v in point.items()}
+        bad = bundle.ring.check_point(point)
+        if bad is not None:
+            raise ConstraintViolated(point, bad.text())
+        out.append(point)
+    return out
 
 
 def check_identity_sampled(
@@ -159,13 +280,9 @@ def check_identity_sampled(
     points: Sequence[Mapping[str, Fraction]],
     identity_id: str = "identity",
 ) -> Verdict:
-    """Check at each parameter point (every point must satisfy the bundle's
-    constraints exactly). Reports the first failing (point, tuple)."""
-    for point in points:
-        point = {k: Fraction(v) for k, v in point.items()}
-        bad = bundle.ring.check_point(point)
-        if bad is not None:
-            raise ConstraintViolated(point, bad.text())
+    """Check at each parameter point (see checked_points). Reports the first
+    failing (point, tuple)."""
+    for point in checked_points(bundle, points):
         verdict = check_identity(ident, bundle.eval_at(point), identity_id)
         if verdict.status == "fail":
             verdict.counterexample.point = point
@@ -316,6 +433,3 @@ def instantiate_power_identity(which: str, exps: ExponentTuple | None = None) ->
         return _power_family_second(FIXED_EXPONENTS)
     raise ValueError(f"unknown template {which!r}")
 
-
-# spec-level aliases
-instantiate_lemma31 = instantiate_power_identity

@@ -120,6 +120,11 @@ class ConstraintViolated(BihomError, ValueError):
         super().__init__(f"point {self.point} violates constraint {constraint} = 0")
 
 
+class NoSamplePoints(BihomError, ValueError):
+    def __init__(self):
+        super().__init__("sampled mode needs at least one point")
+
+
 class PredicateFailed(BihomError, ValueError):
     """A construction's hypothesis does not hold on its input."""
 

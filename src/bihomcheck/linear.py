@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ArityMismatch, NotInvertible, RingMismatch, SpaceMismatch
 from .scalars import Scalar
@@ -76,9 +76,6 @@ class Vector:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
-
-    def support(self):
-        return [i for i, c in enumerate(self.coords) if not c.is_zero()]
 
     def __add__(self, other: "Vector") -> "Vector":
         _same_space(self, other)
@@ -163,15 +160,19 @@ class LinMap:
 
     def apply(self, v: Vector) -> Vector:
         _same_space(self, v)
+        return Vector(self.space, self.params, self._apply(v.coords))
+
+    def _apply(self, coords: Sequence[Scalar]) -> tuple:
+        """The image of a coordinate tuple, with no space check."""
         out = [Scalar.zero(self.params)] * self.space.dim
-        for j, c in enumerate(v.coords):
+        for j, c in enumerate(coords):
             if c.is_zero():
                 continue
-            for i in range(self.space.dim):
-                m = self.rows[i][j]
+            for i, row in enumerate(self.rows):
+                m = row[j]
                 if not m.is_zero():
                     out[i] = out[i] + m * c
-        return Vector(self.space, self.params, out)
+        return tuple(out)
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other (right-to-left)."""
@@ -347,13 +348,17 @@ class MultiOp:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
         for v in args:
             _same_space(self, v)
-        dim = self.space.dim
-        out = [Scalar.zero(self.params)] * dim
-        supports = [v.support() for v in args]
+        return Vector(self.space, self.params, self._apply([v.coords for v in args]))
+
+    def _apply(self, args: Sequence[Sequence[Scalar]]) -> tuple:
+        """The value at `arity` coordinate tuples, with no arity or space
+        check."""
+        out = [Scalar.zero(self.params)] * self.space.dim
+        supports = [[i for i, c in enumerate(a) if not c.is_zero()] for a in args]
         n_combos = 1
         for s in supports:
             if not s:
-                return Vector.zero(self.space, self.params)
+                return tuple(out)
             n_combos *= len(s)
         if n_combos <= len(self.constants):
             # few nonzero coordinates: walk the support product
@@ -361,9 +366,9 @@ class MultiOp:
                 vec = self.constants.get(idx)
                 if vec is None:
                     continue
-                coeff = args[0].coords[idx[0]]
+                coeff = args[0][idx[0]]
                 for s in range(1, self.arity):
-                    coeff = coeff * args[s].coords[idx[s]]
+                    coeff = coeff * args[s][idx[s]]
                 for k, c in enumerate(vec):
                     if not c.is_zero():
                         out[k] = out[k] + coeff * c
@@ -372,7 +377,7 @@ class MultiOp:
             for idx, vec in self.constants.items():
                 coeff = None
                 for s, i in enumerate(idx):
-                    c = args[s].coords[i]
+                    c = args[s][i]
                     if c.is_zero():
                         coeff = None
                         break
@@ -382,7 +387,7 @@ class MultiOp:
                 for k, c in enumerate(vec):
                     if not c.is_zero():
                         out[k] = out[k] + coeff * c
-        return Vector(self.space, self.params, out)
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, MultiOp):
@@ -418,10 +423,6 @@ class MultiOp:
 
     def __repr__(self):
         return f"MultiOp(arity={self.arity}, nonzero={len(self.constants)})"
-
-
-def apply_op(op: MultiOp, args: Sequence[Vector]) -> Vector:
-    return op.apply(args)
 
 
 def twist_op(op: MultiOp, maps: Sequence[LinMap]) -> MultiOp:

@@ -28,6 +28,7 @@ from .engine import (
     ExponentTuple,
     Verdict,
     check_identity,
+    checked_points,
     instantiate_power_identity,
 )
 from .errors import MissingMap, MissingOp, NotInvertible
@@ -426,17 +427,10 @@ def check_structure(
         return Report(bundle.label(), name, "symbolic", verdicts, notes=list(defn.notes))
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    if not points:
-        raise ValueError("sampled mode needs at least one point")
-    per_point = []
-    for point in points:
-        point = {k: Fraction(v) for k, v in point.items()}
-        bad = bundle.ring.check_point(point)
-        if bad is not None:
-            from .errors import ConstraintViolated
-
-            raise ConstraintViolated(point, bad.text())
-        per_point.append((point, _structure_verdicts(defn, bundle.eval_at(point))))
+    per_point = [
+        (point, _structure_verdicts(defn, bundle.eval_at(point)))
+        for point in checked_points(bundle, points)
+    ]
     verdicts = _merge_sampled(per_point)
     return Report(
         bundle.label(),
@@ -474,10 +468,10 @@ def check_nary_transposed(
     if mode == "symbolic":
         verdicts = _run_all(preds, ("comm",), bundle, extra)
         return Report(bundle.label(), "tbp-nlie", "symbolic", verdicts, notes=[note])
-    per_point = []
-    for point in points or ():
-        point = {k: Fraction(v) for k, v in point.items()}
-        per_point.append((point, _run_all(preds, ("comm",), bundle.eval_at(point), extra)))
+    per_point = [
+        (point, _run_all(preds, ("comm",), bundle.eval_at(point), extra))
+        for point in checked_points(bundle, points)
+    ]
     verdicts = _merge_sampled(per_point)
     return Report(
         bundle.label(), "tbp-nlie", "sampled", verdicts, seed=seed,

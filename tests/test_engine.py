@@ -9,19 +9,28 @@ from fractions import Fraction
 
 import pytest
 
+from bihomcheck.catalog import entries, get_entry
 from bihomcheck.dsl import MapApply, OpApply, Var, parse_identity, print_identity
 from bihomcheck.engine import (
     BoundIdentity,
+    Counterexample,
     ExponentTuple,
     FIXED_EXPONENTS,
+    Verdict,
     check_identity,
     check_identity_sampled,
     instantiate_power_identity,
 )
-from bihomcheck.errors import ArityMismatch, ConstraintViolated, UnknownName
+from bihomcheck.errors import (
+    ArityMismatch,
+    ConstraintViolated,
+    NoSamplePoints,
+    NotInvertible,
+    UnknownName,
+)
 from bihomcheck.linear import Vector
 from bihomcheck.scalars import Scalar
-from bihomcheck.structures import IDENTITIES
+from bihomcheck.structures import IDENTITIES, REGISTRY, SUITES
 
 from conftest import make_bundle
 
@@ -111,6 +120,66 @@ def test_counterexample_is_lex_minimal(entry26_zero_forced):
         if not value.is_zero():
             failures.append(tup)
     assert failures and min(failures) == verdict.counterexample.basis_tuple
+
+
+def reference_verdict(ident, bundle, identity_id):
+    """The plain lex walk over BoundIdentity.eval_at, with no compilation."""
+    try:
+        bound = BoundIdentity(ident, bundle)
+    except NotInvertible:
+        return Verdict(identity_id, "inapplicable")
+    params = bundle.ring.params
+    basis = [Vector.basis(bundle.space, i, params) for i in range(bundle.space.dim)]
+    for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
+        residual = bound.eval_at({n: basis[i] for n, i in zip(ident.vars, tup)})
+        if not residual.is_zero():
+            texts = tuple(c.text() for c in residual.coords)
+            return Verdict(identity_id, "fail", counterexample=Counterexample(tup, texts))
+    return Verdict(identity_id, "pass")
+
+
+def assert_matches_reference(ident, bundle, identity_id):
+    verdict = check_identity(ident, bundle, identity_id)
+    expected = reference_verdict(ident, bundle, identity_id)
+    assert verdict.status == expected.status, identity_id
+    if expected.status == "fail":
+        assert verdict.to_dict() == expected.to_dict(), identity_id
+    return verdict
+
+
+@pytest.mark.parametrize("entry_id", sorted(entries()))
+def test_compiled_walk_matches_reference_on_catalog(entry_id):
+    """Status, lex-first counterexample and residual text of the compiled
+    evaluator equal those of the reference walk, on every catalog entry."""
+    bundle = get_entry(entry_id).completed_bundle()
+    for identity_id in sorted(
+        set(REGISTRY["tbp"].identities) | set(REGISTRY["bp"].identities) | set(SUITES["thm25"])
+    ):
+        assert_matches_reference(IDENTITIES[identity_id], bundle, identity_id)
+
+
+def test_compiled_residual_text_on_rational_functions():
+    """On entry 20 the inverse maps have polynomial denominators, and the
+    repeated monomial below is merged by the compiled evaluator, so its own
+    sum would print (-k1^3*k3 + 2*k1*k3^3)/(k1^2*k3^2): the same value with
+    another numerator/denominator pair. The report must carry the reference
+    walk's text."""
+    bundle = get_entry(20).completed_bundle()
+    ident = parse_identity(
+        "forall x,y: mul(a^-1(x), a^-1(y)) - mul(b^-1(x), b^-1(y))"
+        " + mul(a^-1(x), a^-1(y)) = 0"
+    )
+    verdict = assert_matches_reference(ident, bundle, "rf")
+    assert verdict.counterexample.basis_tuple == (0, 0)
+    assert list(verdict.counterexample.residual) == [
+        "0",
+        "(-k1^5*k3 + 2*k1^3*k3^3)/(k1^4*k3^2)",
+    ]
+
+
+def test_sampled_needs_a_point(entry26):
+    with pytest.raises(NoSamplePoints):
+        check_identity_sampled(IDENTITIES["comm"], entry26, [])
 
 
 def test_cyc_of_cyc_is_three_times(entry26):

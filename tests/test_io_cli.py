@@ -191,6 +191,31 @@ class TestCli:
         capsys.readouterr()
         assert code == 0
 
+    def test_malformed_entry_list_exit_two(self, capsys):
+        assert cli_main(["catalog", "verify", "--entries", "1-x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad entry list '1-x'") and err.count("\n") == 1
+
+    def test_malformed_exponents_exit_two(self, entry26_file, capsys):
+        for bad in ("1,2", "0,0,0,0,0,0,0,x"):
+            code = cli_main(
+                ["identities", entry26_file, "--set", "lemma31", "--exponents", bad]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad exponent tuple '{bad}'") and err.count("\n") == 1
+
+    def test_sampled_zero_samples_exit_two(self, tmp_path, capsys):
+        from bihomcheck.catalog import get_entry
+
+        path = tmp_path / "e20.bundle"
+        save_bundle(get_entry(20).bundle, path)
+        code = cli_main(
+            ["check", str(path), "--structure", "tbp", "--mode", "sampled", "--samples", "0"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: sampled mode needs at least one point\n"
+
     def test_construct_and_tensor(self, tmp_path, capsys):
         from bihomcheck.construct import truncated_polynomial_algebra
         from conftest import euler_map

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from bihomcheck.construct import truncated_polynomial_algebra
-from bihomcheck.errors import MissingMap, MissingOp, NotInvertible
+from bihomcheck.errors import (
+    ConstraintViolated,
+    MissingMap,
+    MissingOp,
+    NoSamplePoints,
+    NotInvertible,
+)
 from bihomcheck.linear import LinMap, MultiOp
 from bihomcheck.scalars import Scalar
 from bihomcheck.structures import (
@@ -68,6 +74,25 @@ def test_missing_requirements(zero_bundle, entry26):
 def test_sampled_structure_mode(entry26):
     report = check_structure("tbp", entry26, "sampled", [{"k1": 2, "k2": -7}], seed=4)
     assert report.passed and report.mode == "sampled" and report.seed == 4
+
+
+def test_sampled_points_validated_on_both_paths():
+    """check_structure and the n-ary path share one point validator: an empty
+    point list and a point off the constraint variety are both refused."""
+    ident = [["1", "0"], ["0", "1"]]
+    bundle = make_bundle(
+        ["e1", "e2"],
+        ("k1", "k2"),
+        {"mul": (2, {}), "br": (2, {}), "nbr": (3, {})},
+        {"a": ident, "b": ident},
+        constraints=["(k1 - 1)*k2"],
+    )
+    for name in ("tbp", "tbp-nlie"):
+        with pytest.raises(NoSamplePoints):
+            check_structure(name, bundle, "sampled", [])
+        with pytest.raises(ConstraintViolated):
+            check_structure(name, bundle, "sampled", [{"k1": 2, "k2": 3}])
+        assert check_structure(name, bundle, "sampled", [{"k1": 1, "k2": 3}]).passed
 
 
 def test_consequence_suite(entry26, zero_bundle, euler_wronskian):
