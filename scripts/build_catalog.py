@@ -18,10 +18,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bihomcheck.bundle import AlgebraBundle, Ring
-from bihomcheck.catalog import AXIS_IDS, CatalogEntry, _axis_verdicts, solve_skew_completion
+from bihomcheck.catalog import CATALOG_AXES, CatalogEntry, solve_skew_completion
 from bihomcheck.errors import Inconsistent
 from bihomcheck.linear import BasisSpace, LinMap, MultiOp
-from bihomcheck.scalars import Scalar, parse_scalar
+from bihomcheck.scalars import parse_scalar
+from bihomcheck.structures import definition_verdicts
 
 ALL_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -259,11 +260,10 @@ def derive_completion(spec, bundle):
 
 
 def entry_status(entry: CatalogEntry) -> str:
-    for _desc, bundle in entry.branch_bundles():
-        for verdict in _axis_verdicts(bundle):
-            if verdict.status != "pass":
-                return "report-only"
-    return "asserted-pass"
+    cases = [(None, bundle) for _desc, bundle in entry.branch_bundles()]
+    if all(v.passed for v in definition_verdicts(CATALOG_AXES, cases)):
+        return "asserted-pass"
+    return "report-only"
 
 
 def main():
@@ -282,30 +282,11 @@ def main():
             completion=completion,
             branches=tuple(spec.get("branches", ())),
         )
-        status = entry_status(entry)
-        statuses[spec["id"]] = status
-
-        data = bundle.canonical_dict()
-        completion_data = None
-        if completion is not None:
-            entries_list = []
-            for slot in sorted(completion):
-                for comp, c in enumerate(completion[slot]):
-                    if not c.is_zero():
-                        entries_list.append([slot[0], slot[1], comp, c.text()])
-            completion_data = {"entries": entries_list}
-        data["catalog"] = {
-            "id": spec["id"],
-            "case": spec["case"],
-            "status": status,
-            "given_br_slots": [list(s) for s in slots],
-            "completion": completion_data,
-            "branches": spec.get("branches", []),
-            "notes": [],
-        }
+        entry.status = entry_status(entry)
+        statuses[spec["id"]] = entry.status
         path = out_dir / f"entry{spec['id']:02d}.json"
         path.write_text(
-            json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
+            json.dumps(entry.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n",
             encoding="utf-8",
         )
     passing = sorted(i for i, s in statuses.items() if s == "asserted-pass")

@@ -2,6 +2,10 @@
 a skew-symmetry completion solver for the bracket slots the listings leave
 implicit, and a verifier that produces a per-axiom report for each entry.
 
+The report columns are one StructureDef, CATALOG_AXES, run like every
+structure; verify_entry picks the cases (constraint branches, or sample
+points) whose verdicts engine.merge combines.
+
 Completion convention: unlisted PRODUCT constants are zero; unlisted BRACKET
 constants are solved from the twisted skew-symmetry equations
 br(b(ei), a(ej)) + br(b(ej), a(ei)) = 0 with free unknowns set to zero. When
@@ -16,39 +20,38 @@ symbolic verification runs on every branch of the constraint variety.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .bundle import AlgebraBundle, Ring
-from .engine import Verdict, check_identity
+from .bundle import AlgebraBundle
+from .engine import checked_points
 from .errors import Inconsistent, UnknownEntry
-from .linear import BasisSpace, LinMap, MultiOp, Vector
+from .linear import LinMap, MultiOp
 from .rng import SplitRng
-from .scalars import Poly, Scalar, parse_scalar
-from .structures import IDENTITIES, Report, _predicate_verdict
+from .scalars import Scalar, parse_scalar
+from .structures import Report, StructureDef, _predicate_id, definition_verdicts
 
 # per-axiom columns of the catalog report, in report order
-DEFAULT_AXES = (
-    ("predicate", ("commute", "a", "b")),
-    ("predicate", ("multiplicative", "a", "mul")),
-    ("predicate", ("multiplicative", "b", "mul")),
-    ("predicate", ("multiplicative", "a", "br")),
-    ("predicate", ("multiplicative", "b", "br")),
-    ("identity", "comm"),
-    ("identity", "assoc"),
-    ("identity", "skew"),
-    ("identity", "jacobi"),
-    ("identity", "tcompat"),
+CATALOG_AXES = StructureDef(
+    "catalog-default",
+    (("mul", 2), ("br", 2)),
+    ("a", "b"),
+    (
+        ("commute", "a", "b"),
+        ("multiplicative", "a", "mul"),
+        ("multiplicative", "b", "mul"),
+        ("multiplicative", "a", "br"),
+        ("multiplicative", "b", "br"),
+    ),
+    ("comm", "assoc", "skew", "jacobi", "tcompat"),
 )
 
-AXIS_IDS = tuple(
-    f"{kind[1][0]}({','.join(kind[1][1:])})" if kind[0] == "predicate" else kind[1]
-    for kind in DEFAULT_AXES
-)
+AXIS_IDS = tuple(map(_predicate_id, CATALOG_AXES.predicates)) + CATALOG_AXES.identities
 
 
 @dataclass
@@ -90,6 +93,30 @@ class CatalogEntry:
             desc = ", ".join(f"{n} = {t}" for n, t in subs.items())
             out.append((desc, base.substitute_params(values, remaining)))
         return out
+
+    def to_dict(self) -> dict:
+        """The entry file contents (the inverse of _entry_from_dict)."""
+        data = self.bundle.canonical_dict()
+        completion = None
+        if self.completion is not None:
+            completion = {
+                "entries": [
+                    [*slot, comp, c.text()]
+                    for slot in sorted(self.completion)
+                    for comp, c in enumerate(self.completion[slot])
+                    if not c.is_zero()
+                ]
+            }
+        data["catalog"] = {
+            "id": self.entry_id,
+            "case": self.case,
+            "status": self.status,
+            "given_br_slots": [list(s) for s in self.given_br_slots],
+            "completion": completion,
+            "branches": [dict(b) for b in self.branches],
+            "notes": list(self.notes),
+        }
+        return data
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +285,17 @@ def _entry_from_dict(data: dict) -> CatalogEntry:
     )
 
 
-def _load_entries() -> dict:
-    entries = {}
+@functools.cache
+def entries() -> dict:
+    """The shipped entries by id, loaded once."""
+    out = {}
     folder = resources.files("bihomcheck").joinpath("data/catalog")
     for item in sorted(folder.iterdir(), key=lambda e: e.name):
         if not item.name.endswith(".json"):
             continue
         entry = _entry_from_dict(json.loads(item.read_text()))
-        entries[entry.entry_id] = entry
-    return entries
-
-
-_ENTRIES: dict | None = None
-
-
-def entries() -> dict:
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _load_entries()
-    return _ENTRIES
+        out[entry.entry_id] = entry
+    return out
 
 
 def get_entry(entry_id: int) -> CatalogEntry:
@@ -289,16 +308,6 @@ def get_entry(entry_id: int) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-
-def _axis_verdicts(bundle: AlgebraBundle) -> list:
-    verdicts = []
-    for kind, spec in DEFAULT_AXES:
-        if kind == "predicate":
-            verdicts.append(_predicate_verdict(spec, bundle))
-        else:
-            verdicts.append(check_identity(IDENTITIES[spec], bundle, spec))
-    return verdicts
 
 
 def sample_points(entry: CatalogEntry, count: int, seed: int) -> list:
@@ -348,55 +357,28 @@ def verify_entry(
     ):
         notes.append("skew completion unsolvable; unlisted bracket constants forced to zero")
     if mode == "symbolic":
-        per_branch = []
-        for desc, bundle in entry.branch_bundles():
-            per_branch.append((desc, _axis_verdicts(bundle)))
-        merged = []
-        for i, axis in enumerate(AXIS_IDS):
-            final = Verdict(axis, "pass")
-            for desc, verdicts in per_branch:
-                v = verdicts[i]
-                if v.status == "fail":
-                    if v.counterexample is not None and len(per_branch) > 1:
-                        v.counterexample.point = {"branch": desc}
-                    final = v
-                    break
-                if v.status == "inapplicable" and final.status == "pass":
-                    final = v
-            merged.append(final)
-        if len(per_branch) > 1:
-            notes.append(f"symbolic check over {len(per_branch)} constraint branches")
-        report = Report(f"entry{entry.entry_id:02d}", "catalog-default", "symbolic", merged, notes=notes)
+        branches = entry.branch_bundles()
+        many = len(branches) > 1
+        cases = [({"branch": desc} if many else None, b) for desc, b in branches]
+        if many:
+            notes.append(f"symbolic check over {len(branches)} constraint branches")
+        points, seed = None, None
     elif mode == "sampled":
-        points = sample_points(entry, samples, seed)
-        per_point = []
-        for point in points:
-            bundle = entry.completed_bundle().eval_at(point)
-            per_point.append((point, _axis_verdicts(bundle)))
-        merged = []
-        for i, axis in enumerate(AXIS_IDS):
-            final = Verdict(axis, "pass")
-            for point, verdicts in per_point:
-                v = verdicts[i]
-                if v.status == "fail":
-                    v.counterexample.point = point
-                    final = v
-                    break
-                if v.status == "inapplicable" and final.status == "pass":
-                    final = v
-            merged.append(final)
-        report = Report(
-            f"entry{entry.entry_id:02d}",
-            "catalog-default",
-            "sampled",
-            merged,
-            seed=seed,
-            points=points,
-            notes=notes,
-        )
+        bundle = entry.completed_bundle()
+        points = checked_points(bundle, sample_points(entry, samples, seed))
+        cases = ((point, bundle.eval_at(point)) for point in points)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return report
+    verdicts = definition_verdicts(CATALOG_AXES, cases)
+    return Report(
+        f"entry{entry.entry_id:02d}",
+        CATALOG_AXES.name,
+        mode,
+        verdicts,
+        seed=seed,
+        points=points,
+        notes=notes,
+    )
 
 
 def verify_all(mode: str = "symbolic", samples: int = 5, seed: int = 0, ids=None) -> list:

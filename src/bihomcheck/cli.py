@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .bundle import AlgebraBundle
 from .catalog import entries as catalog_entries
-from .catalog import get_entry, summary_table, verify_all, verify_entry
+from .catalog import get_entry, summary_table, verify_all
 from .construct import (
     TwistSpec,
     derivation_tbp,
@@ -30,19 +30,10 @@ from .construct import (
     yau_twist,
 )
 from .engine import ExponentTuple, check_identity
-from .errors import BihomError
-from .fileio import load_bundle, load_identity_file, report_to_json, save_bundle
+from .errors import BihomError, DenominatorVanishes
+from .fileio import load_bundle, load_identity_file, save_bundle, save_report
 from .rng import SplitRng
-from .structures import (
-    REGISTRY,
-    Report,
-    check_consequence_suite,
-    check_overlap_tbp_bp,
-    check_power_suite,
-    check_structure,
-    check_ternary_overlap,
-    IDENTITIES,
-)
+from .structures import SUITES, Report, check_power_suite, check_structure, check_suite
 
 
 def _color_enabled() -> bool:
@@ -78,10 +69,6 @@ def _exit_code(overall: str) -> int:
     return {"pass": 0, "fail": 1}.get(overall, 2)
 
 
-def _write_report(report: Report, path, bundle_hash=None) -> None:
-    Path(path).write_text(report_to_json(report, bundle_hash), encoding="utf-8")
-
-
 def _sample_points(bundle: AlgebraBundle, samples: int, seed: int) -> list:
     rng = SplitRng(seed).child("points")
     params = bundle.ring.params
@@ -95,8 +82,13 @@ def _sample_points(bundle: AlgebraBundle, samples: int, seed: int) -> list:
                 "use `catalog verify` for catalog entries with branch data"
             )
         point = {p: Fraction(rng.randint(-10, 10)) for p in params}
-        if bundle.ring.check_point(point) is None:
-            points.append(point)
+        if bundle.ring.check_point(point) is not None:
+            continue
+        try:
+            bundle.eval_at(point)
+        except DenominatorVanishes:
+            continue
+        points.append(point)
     return points
 
 
@@ -107,10 +99,6 @@ def _sample_points(bundle: AlgebraBundle, samples: int, seed: int) -> list:
 
 def cmd_check(args) -> int:
     bundle = load_bundle(args.bundle)
-    if args.structure not in REGISTRY and args.structure != "tbp-nlie":
-        raise BihomError(
-            f"unknown structure {args.structure!r}; known: {', '.join(sorted(REGISTRY))}, tbp-nlie"
-        )
     if args.mode == "sampled":
         points = _sample_points(bundle, args.samples, args.seed)
         report = check_structure(args.structure, bundle, "sampled", points, seed=args.seed)
@@ -118,34 +106,22 @@ def cmd_check(args) -> int:
         report = check_structure(args.structure, bundle, "symbolic")
     _print_report(report)
     if args.report:
-        _write_report(report, args.report, bundle.content_hash())
+        save_report(report, args.report, bundle.content_hash())
     return _exit_code(report.overall)
 
 
 def cmd_identities(args) -> int:
     bundle = load_bundle(args.bundle)
-    if args.set == "thm25":
-        report = check_consequence_suite(bundle)
-    elif args.set == "eq2.20":
-        report = check_overlap_tbp_bp(bundle)
-    elif args.set == "eq3.15":
-        report = check_ternary_overlap(bundle)
-    elif args.set == "eq3.3":
-        verdict = check_identity(IDENTITIES["power-fixed"], bundle, "power-fixed")
-        report = Report(bundle.label(), "eq3.3", "symbolic", [verdict])
-    elif args.set == "eq3.18":
-        verdict = check_identity(IDENTITIES["invol-compat"], bundle, "invol-compat")
-        report = Report(bundle.label(), "eq3.18", "symbolic", [verdict])
-    elif args.set == "lemma31":
+    if args.set == "lemma31":
         exps = None
         if args.exponents:
             exps = [_parse_exponents(e) for e in args.exponents]
         report = check_power_suite(bundle, exps, seed=args.seed)
     else:
-        raise BihomError(f"unknown identity set {args.set!r}")
+        report = check_suite(args.set, bundle)
     _print_report(report)
     if args.report:
-        _write_report(report, args.report, bundle.content_hash())
+        save_report(report, args.report, bundle.content_hash())
     return _exit_code(report.overall)
 
 
@@ -169,7 +145,10 @@ def _parse_twist(value: str) -> TwistSpec:
         piece = piece.strip()
         if "^" in piece:
             name, power = piece.split("^", 1)
-            slots.append((name, int(power)))
+            try:
+                slots.append((name, int(power)))
+            except ValueError:
+                raise BihomError(f"bad power in twist spec {value!r}") from None
         else:
             slots.append((piece, 1))
     return TwistSpec(op_name.strip(), tuple(slots))
@@ -197,24 +176,23 @@ def cmd_construct(args) -> int:
         out = yau_twist(bundle, [_parse_twist(v) for v in args.twist], require=require)
     else:
         raise BihomError(f"unknown construction {kind!r}")
-    save_bundle(out, args.output)
-    warnings = (out.provenance or {}).get("warnings", ())
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if (out.provenance or {}).get("invol_compat") is not None:
-        print(f"ternary compatibility condition: {out.provenance['invol_compat']}")
-    print(f"wrote {args.output}")
-    return 0
+    return _save_construction(out, args.output)
 
 
 def cmd_tensor(args) -> int:
     a = load_bundle(args.left)
     b = load_bundle(args.right)
-    out = tensor_bundle(a, b, args.kind, require=True)
-    save_bundle(out, args.output)
-    for w in (out.provenance or {}).get("warnings", ()):
+    return _save_construction(tensor_bundle(a, b, args.kind, require=True), args.output)
+
+
+def _save_construction(out: AlgebraBundle, path) -> int:
+    save_bundle(out, path)
+    prov = out.provenance or {}
+    for w in prov.get("warnings", ()):
         print(f"warning: {w}", file=sys.stderr)
-    print(f"wrote {args.output}")
+    if prov.get("invol_compat") is not None:
+        print(f"ternary compatibility condition: {prov['invol_compat']}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -228,25 +206,7 @@ def cmd_catalog(args) -> int:
             print(f"{entry_id:5d}  {e.case:4s}  {params:12s}  {e.status}")
         return 0
     if args.action == "show":
-        e = get_entry(args.entry)
-        data = e.bundle.canonical_dict()
-        data["catalog"] = {
-            "id": e.entry_id,
-            "case": e.case,
-            "status": e.status,
-            "given_br_slots": [list(s) for s in e.given_br_slots],
-            "completion": None
-            if e.completion is None
-            else {
-                "entries": [
-                    [s[0], s[1], c, v.text()]
-                    for s in sorted(e.completion)
-                    for c, v in enumerate(e.completion[s])
-                    if not v.is_zero()
-                ]
-            },
-            "branches": [dict(b) for b in e.branches],
-        }
+        data = get_entry(args.entry).to_dict()
         print(json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True))
         return 0
     # verify
@@ -328,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--set",
         required=True,
-        choices=("thm25", "lemma31", "eq2.20", "eq3.3", "eq3.15", "eq3.18"),
+        choices=(*SUITES, "lemma31"),
     )
     p.add_argument(
         "--exponents",

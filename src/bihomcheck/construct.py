@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundle import AlgebraBundle, Ring
-from .dsl import Identity, MapApply, OpApply, Var
+from .dsl import Identity, parse_identity
 from .engine import check_identity
-from .errors import NotInvertible, PredicateFailed, RingMismatch
+from .errors import PredicateFailed, RingMismatch
 from .linear import (
     BasisSpace,
     LinMap,
@@ -42,19 +41,6 @@ class TwistSpec:
 
     op_name: str
     slots: tuple  # of (map name, power)
-
-
-def _classical_identity(kind: str) -> Identity:
-    if kind == "comm":
-        return Identity(
-            ("x", "y"),
-            ((1, OpApply("mul", (Var("x"), Var("y")))), (-1, OpApply("mul", (Var("y"), Var("x"))))),
-        )
-    if kind == "assoc":
-        lhs = OpApply("mul", (OpApply("mul", (Var("x"), Var("y"))), Var("z")))
-        rhs = OpApply("mul", (Var("x"), OpApply("mul", (Var("y"), Var("z")))))
-        return Identity(("x", "y", "z"), ((1, lhs), (-1, rhs)))
-    raise ValueError(kind)
 
 
 class _Hypotheses:
@@ -131,8 +117,10 @@ def yau_twist(bundle: AlgebraBundle, specs, require: bool = True) -> AlgebraBund
 
 def _commassoc_hypotheses(hyp, bundle, d_name, a_name, b_name):
     mul0 = bundle.require_op("mul", 2)
-    hyp.check_identity(_classical_identity("comm"), bundle, "product is not commutative")
-    hyp.check_identity(_classical_identity("assoc"), bundle, "product is not associative")
+    comm = parse_identity("forall x,y: mul(x, y) - mul(y, x) = 0")
+    assoc = parse_identity("forall x,y,z: mul(mul(x, y), z) - mul(x, mul(y, z)) = 0")
+    hyp.check_identity(comm, bundle, "product is not commutative")
+    hyp.check_identity(assoc, bundle, "product is not associative")
     for name in (a_name, b_name):
         hyp.check_identity(
             multiplicativity_identity(name, "mul", 2),

@@ -274,22 +274,38 @@ def checked_points(
     return out
 
 
+def merge(cases: Sequence[tuple]) -> list:
+    """Combine the verdict lists of several cases (sample points, constraint
+    branches), position by position: the first fail wins, else the first
+    inapplicable verdict, else pass. A case is (label, verdicts); a fail's
+    counterexample records the label as its point unless the label is None."""
+    merged = []
+    for i, first in enumerate(cases[0][1]):
+        final = Verdict(first.identity, "pass")
+        for label, verdicts in cases:
+            v = verdicts[i]
+            if v.status == "fail":
+                if label is not None and v.counterexample is not None:
+                    v.counterexample.point = dict(label)
+                final = v
+                break
+            if v.status == "inapplicable" and final.status == "pass":
+                final = v
+        merged.append(final)
+    return merged
+
+
 def check_identity_sampled(
     ident: Identity,
     bundle: AlgebraBundle,
     points: Sequence[Mapping[str, Fraction]],
     identity_id: str = "identity",
 ) -> Verdict:
-    """Check at each parameter point (see checked_points). Reports the first
-    failing (point, tuple)."""
-    for point in checked_points(bundle, points):
-        verdict = check_identity(ident, bundle.eval_at(point), identity_id)
-        if verdict.status == "fail":
-            verdict.counterexample.point = point
-            return verdict
-        if verdict.status == "inapplicable":
-            return verdict
-    return Verdict(identity_id, "pass")
+    """Check at each parameter point (see checked_points) and merge."""
+    return merge([
+        (point, [check_identity(ident, bundle.eval_at(point), identity_id)])
+        for point in checked_points(bundle, points)
+    ])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ class BihomError(Exception):
     """Base class for all bihomcheck errors."""
 
 
+def _point_text(point) -> str:
+    return ", ".join(f"{k}={v}" for k, v in point.items())
+
+
 class RingMismatch(BihomError):
     """Two values over different parameter lists were combined."""
 
@@ -24,7 +28,7 @@ class DenominatorVanishes(BihomError, ZeroDivisionError):
 
     def __init__(self, point, detail: str = ""):
         self.point = dict(point)
-        msg = f"denominator vanishes at {self.point}"
+        msg = f"denominator vanishes at {_point_text(self.point)}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
@@ -80,44 +84,36 @@ class LinearityViolation(BihomError, ValueError):
         )
 
 
-class UnknownName(BihomError, KeyError):
+class _LookupError(BihomError, KeyError):
+    def __str__(self):  # KeyError quotes its arg; keep the plain message
+        return self.args[0]
+
+
+class UnknownName(_LookupError):
     """An identity mentions an op/map the bundle does not provide."""
 
     def __init__(self, name: str, detail: str = ""):
         self.name = name
-        msg = f"unknown name {name!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.msg = msg
-
-    def __str__(self):  # KeyError quotes its arg; keep the plain message
-        return self.msg
+        super().__init__(f"unknown name {name!r}" + (f": {detail}" if detail else ""))
 
 
-class MissingOp(BihomError, KeyError):
+class MissingOp(_LookupError):
     def __init__(self, name: str):
         self.name = name
-        self.msg = f"bundle has no operation {name!r}"
-
-    def __str__(self):
-        return self.msg
+        super().__init__(f"bundle has no operation {name!r}")
 
 
-class MissingMap(BihomError, KeyError):
+class MissingMap(_LookupError):
     def __init__(self, name: str):
         self.name = name
-        self.msg = f"bundle has no linear map {name!r}"
-
-    def __str__(self):
-        return self.msg
+        super().__init__(f"bundle has no linear map {name!r}")
 
 
 class ConstraintViolated(BihomError, ValueError):
     def __init__(self, point, constraint: str):
         self.point = dict(point)
         self.constraint = constraint
-        super().__init__(f"point {self.point} violates constraint {constraint} = 0")
+        super().__init__(f"point {_point_text(self.point)} violates constraint {constraint} = 0")
 
 
 class NoSamplePoints(BihomError, ValueError):
@@ -137,13 +133,10 @@ class Inconsistent(BihomError, ValueError):
         super().__init__(f"inconsistent system row: {row}")
 
 
-class UnknownEntry(BihomError, KeyError):
+class UnknownEntry(_LookupError):
     def __init__(self, entry_id):
         self.entry_id = entry_id
-        self.msg = f"no catalog entry {entry_id!r}"
-
-    def __str__(self):
-        return self.msg
+        super().__init__(f"no catalog entry {entry_id!r}")
 
 
 class BundleFormatError(BihomError, ValueError):

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .bundle import AlgebraBundle, Ring
-from .errors import BundleFormatError, UnknownParameter
+from .errors import BihomError, BundleFormatError, UnknownParameter
 from .linear import BasisSpace, LinMap, MultiOp
 from .scalars import Scalar, parse_scalar
 
@@ -41,6 +41,17 @@ _OP_FIELDS = {"arity", "entries"}
 
 
 def bundle_from_dict(data: dict) -> AlgebraBundle:
+    try:
+        return _bundle_from_dict(data)
+    except BihomError:
+        raise
+    except KeyError as exc:
+        raise BundleFormatError(f"missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise BundleFormatError(f"malformed bundle: {exc}") from None
+
+
+def _bundle_from_dict(data: dict) -> AlgebraBundle:
     if not isinstance(data, dict):
         raise BundleFormatError("bundle file must contain a JSON object")
     unknown = set(data) - _TOP_FIELDS
@@ -50,11 +61,8 @@ def bundle_from_dict(data: dict) -> AlgebraBundle:
         raise BundleFormatError(
             f"unsupported schema {data.get('schema')!r} (supported: {SCHEMA_VERSION})"
         )
-    try:
-        labels = list(data["basis"])
-        dim = int(data["dim"])
-    except KeyError as exc:
-        raise BundleFormatError(f"missing field {exc.args[0]!r}")
+    labels = list(data["basis"])
+    dim = int(data["dim"])
     if len(labels) != dim:
         raise BundleFormatError("dim does not match the number of basis labels")
     space = BasisSpace(labels)
@@ -94,17 +102,13 @@ def bundle_from_dict(data: dict) -> AlgebraBundle:
 
     maps = {}
     for name, rows in data.get("maps", {}).items():
-        if len(rows) != dim or any(len(r) != dim for r in rows):
+        if not isinstance(rows, list) or len(rows) != dim or any(len(r) != dim for r in rows):
             raise BundleFormatError(f"map {name!r}: matrix must be {dim}x{dim}")
         maps[name] = LinMap(
             space, params, [[parse_scalar(str(c), params) for c in row] for row in rows]
         )
 
     return AlgebraBundle(space, ring, ops, maps, data.get("provenance"))
-
-
-def bundle_to_dict(bundle: AlgebraBundle) -> dict:
-    return bundle.canonical_dict()
 
 
 def load_bundle(path) -> AlgebraBundle:
@@ -121,7 +125,7 @@ def load_bundle(path) -> AlgebraBundle:
 
 def save_bundle(bundle: AlgebraBundle, path) -> None:
     Path(path).write_text(
-        json.dumps(bundle_to_dict(bundle), indent=2, ensure_ascii=False, sort_keys=True)
+        json.dumps(bundle.canonical_dict(), indent=2, ensure_ascii=False, sort_keys=True)
         + "\n",
         encoding="utf-8",
     )

@@ -38,12 +38,3 @@ class SplitRng:
             w = self._next_word()
             if w < limit:
                 return lo + (w % span)
-
-    def nonzero_randint(self, lo: int, hi: int) -> int:
-        while True:
-            v = self.randint(lo, hi)
-            if v != 0:
-                return v
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]

@@ -81,9 +81,6 @@ class Poly:
             return Fraction(0)
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical for printing)."""
         return sorted(self.terms.items(), key=lambda kv: _glex_key(kv[0]), reverse=True)
@@ -467,26 +464,6 @@ def _normalize(params: tuple, num: Poly, den: Poly) -> Scalar:
 # ---------------------------------------------------------------------------
 # spec-level operation aliases
 # ---------------------------------------------------------------------------
-
-
-def scalar_arith(lhs: Scalar, rhs: Scalar, which: str) -> Scalar:
-    if which == "add":
-        return lhs + rhs
-    if which == "sub":
-        return lhs - rhs
-    if which == "mul":
-        return lhs * rhs
-    if which == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown operation {which!r}")
-
-
-def scalar_eq(lhs: Scalar, rhs: Scalar) -> bool:
-    return lhs == rhs
-
-
-def scalar_eval(s: Scalar, point: Mapping[str, Fraction]) -> Fraction:
-    return s.eval(point)
 
 
 def print_scalar(s: Scalar) -> str:

@@ -1,16 +1,18 @@
-"""Registry of named algebraic structures (identity sets plus structural
-predicates) and the checkers that turn a bundle into a report.
+"""Named identity sets and the one runner that turns a bundle into a report.
 
-Identity texts live in data/structures/*.idl and data/suites/*.idl; each file
-carries the laws first introduced by that structure, with `# id:` comments
-naming them. Composition (which structures inherit which) and the
-non-identity predicates live here, because the .idl grammar has no syntax for
-either.
+A StructureDef lists the ops and maps a check requires, its predicates (map
+commutation, multiplicativity, regularity) and its identity ids, in report
+order. REGISTRY holds the structures of `check --structure`, SUITES the sets
+of `identities --set`, catalog.CATALOG_AXES the catalog report's columns.
+check_definition runs any of them, symbolically or at sample points whose
+verdicts engine.merge combines. The plain overlap forms (REGULAR_ONLY) are
+reported inapplicable on singular maps.
 
-Multiplicativity of the structure maps is deliberately a separate predicate
-from the identity sets: reports list it independently so a bundle that
-satisfies the displayed laws but not multiplicativity is described honestly
-instead of collapsing into a single verdict.
+Identity texts live in data/structures/*.idl and data/suites/*.idl, named by
+`# id:` comments; composition and predicates live here, because the .idl
+grammar has no syntax for either. Multiplicativity is a predicate of its own,
+so a bundle that satisfies the laws but not multiplicativity is described
+honestly instead of collapsing into a single verdict.
 """
 
 from __future__ import annotations
@@ -22,17 +24,20 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .bundle import AlgebraBundle
-from .dsl import Identity, MapApply, OpApply, Var, parse_identity_file
+from .dsl import Identity, MapApply, OpApply, Var, parse_identity, parse_identity_file
 from .engine import (
+    FIXED_EXPONENTS,
     Counterexample,
     ExponentTuple,
     Verdict,
     check_identity,
     checked_points,
     instantiate_power_identity,
+    merge,
 )
-from .errors import MissingMap, MissingOp, NotInvertible
-from .linear import check_commute
+from .errors import BihomError, NotInvertible
+from .linear import LinMap, check_commute
+from .rng import SplitRng
 
 
 def _load_identity_library() -> dict:
@@ -59,48 +64,21 @@ class StructureDef:
     ops: tuple  # of (op name, arity)
     maps: tuple
     predicates: tuple  # of ("commute", m1, m2) | ("multiplicative", m, op) | ("regular", m)
-    identities: tuple  # identity ids, in report order
-    notes: tuple = ()
+    identities: tuple  # identity ids (or (id, Identity) pairs), in report order
 
 
-def _compose(name, base_defs, ops=(), maps=(), predicates=(), identities=(), notes=()):
-    seen_ops, seen_maps, seen_preds, seen_ids, seen_notes = [], [], [], [], []
-    for d in base_defs:
-        for item in d.ops:
-            if item not in seen_ops:
-                seen_ops.append(item)
-        for item in d.maps:
-            if item not in seen_maps:
-                seen_maps.append(item)
-        for item in d.predicates:
-            if item not in seen_preds:
-                seen_preds.append(item)
-        for item in d.identities:
-            if item not in seen_ids:
-                seen_ids.append(item)
-        for item in d.notes:
-            if item not in seen_notes:
-                seen_notes.append(item)
-    for item in ops:
-        if item not in seen_ops:
-            seen_ops.append(item)
-    for item in maps:
-        if item not in seen_maps:
-            seen_maps.append(item)
-    for item in predicates:
-        if item not in seen_preds:
-            seen_preds.append(item)
-    for item in identities:
-        if item not in seen_ids:
-            seen_ids.append(item)
-    seen_notes.extend(notes)
+def _compose(name, base_defs, identities):
+    """A definition inheriting everything of base_defs, plus identities."""
+
+    def union(attr, extra=()):
+        out = []
+        for item in itertools.chain(*(getattr(d, attr) for d in base_defs), extra):
+            if item not in out:
+                out.append(item)
+        return tuple(out)
+
     return StructureDef(
-        name,
-        tuple(seen_ops),
-        tuple(seen_maps),
-        tuple(seen_preds),
-        tuple(seen_ids),
-        tuple(seen_notes),
+        name, union("ops"), union("maps"), union("predicates"), union("identities", identities)
     )
 
 
@@ -186,20 +164,44 @@ def _build_registry() -> dict:
 
 REGISTRY: dict = _build_registry()
 
-# identity ids behind each `identities --set <token>` suite; lemma31 and the
-# checkers with extra logic are dispatched in cli/engine code.
+# the identity sets of `identities --set`; lemma31 (check_power_suite) draws
+# its exponent tuples at run time, so it is not a table entry
 SUITES = {
-    "thm25": ("cyc-mul-br", "cyc-br-mul-br", "cyc-br-br-mul", "strongness"),
-    "eq2.20": ("overlap-mul-br", "overlap-br-mul"),
-    "eq3.3": ("power-fixed",),
-    "eq3.15": ("toverlap-mul-tbr", "toverlap-tbr-mul"),
-    "eq3.18": ("invol-compat",),
+    d.name: d
+    for d in (
+        StructureDef(
+            "thm25",
+            (("mul", 2), ("br", 2)),
+            ("a", "b"),
+            (),
+            ("cyc-mul-br", "cyc-br-mul-br", "cyc-br-br-mul", "strongness"),
+        ),
+        StructureDef(
+            "eq2.20",
+            (("mul", 2), ("br", 2)),
+            (),
+            (),
+            ("overlap-mul-br", "overlap-br-mul", "overlap-mul-br-plain", "overlap-br-mul-plain"),
+        ),
+        StructureDef("eq3.3", (), (), (), ("power-fixed",)),
+        StructureDef(
+            "eq3.15",
+            (("mul", 2), ("tbr", 3)),
+            (),
+            (),
+            (
+                "toverlap-mul-tbr",
+                "toverlap-tbr-mul",
+                "toverlap-mul-tbr-plain",
+                "toverlap-tbr-mul-plain",
+            ),
+        ),
+        StructureDef("eq3.18", (), (), (), ("invol-compat",)),
+    )
 }
 
+# reported inapplicable unless both structure maps are invertible
 REGULAR_ONLY = {
-    "jacobi-inv",
-    "power-fixed",
-    "invol-compat",
     "overlap-mul-br-plain",
     "overlap-br-mul-plain",
     "toverlap-mul-tbr-plain",
@@ -287,9 +289,8 @@ def derivation_identity(map_name: str, op_name: str, arity: int) -> Identity:
 
 def anti_morphism_identity(map_name: str, op_name: str = "br") -> Identity:
     """f(br(x,y)) = -br(f(x), f(y))."""
-    lhs = MapApply(map_name, 1, OpApply(op_name, (Var("x"), Var("y"))))
-    rhs = OpApply(op_name, (MapApply(map_name, 1, Var("x")), MapApply(map_name, 1, Var("y"))))
-    return Identity(("x", "y"), ((1, lhs), (1, rhs)))
+    f, br = map_name, op_name
+    return parse_identity(f"forall x,y: {f}({br}(x, y)) + {br}({f}(x), {f}(y)) = 0")
 
 
 def nary_skew_identity(op_name: str, n: int, slot: int) -> Identity:
@@ -332,12 +333,15 @@ def nary_transposed_compat_identity(op_name: str, n: int) -> Identity:
 # ---------------------------------------------------------------------------
 
 
+def _predicate_id(pred: tuple) -> str:
+    return f"{pred[0]}({','.join(pred[1:])})"
+
+
 def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
-    kind = pred[0]
+    kind, vid = pred[0], _predicate_id(pred)
     if kind == "commute":
         _, m1, m2 = pred
         res = check_commute(bundle.require_map(m1), bundle.require_map(m2))
-        vid = f"commute({m1},{m2})"
         if res.ok:
             return Verdict(vid, "pass")
         return Verdict(
@@ -352,56 +356,64 @@ def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
         op = bundle.require_op(opname)
         bundle.require_map(m)
         ident = multiplicativity_identity(m, opname, op.arity)
-        return check_identity(ident, bundle, f"multiplicative({m},{opname})")
+        return check_identity(ident, bundle, vid)
     if kind == "regular":
         _, m = pred
-        det = bundle.require_map(m).det()
-        vid = f"regular({m})"
-        if det.is_zero():
+        if bundle.require_map(m).det().is_zero():
             return Verdict(vid, "fail", reason="determinant is zero")
         return Verdict(vid, "pass")
     raise ValueError(f"unknown predicate {pred!r}")
 
 
-def _run_identity(identity_id: str, bundle: AlgebraBundle) -> Verdict:
-    return check_identity(IDENTITIES[identity_id], bundle, identity_id)
+def _maps_invertible(bundle: AlgebraBundle) -> bool:
+    return all(not bundle.require_map(n).det().is_zero() for n in ("a", "b"))
 
 
-def _run_all(defn_preds, identity_ids, bundle, extra_identities=()) -> list:
-    verdicts = [_predicate_verdict(p, bundle) for p in defn_preds]
-    for identity_id in identity_ids:
-        verdicts.append(_run_identity(identity_id, bundle))
-    for identity_id, ident in extra_identities:
-        verdicts.append(check_identity(ident, bundle, identity_id))
-    return verdicts
-
-
-def _merge_sampled(per_point: Sequence[tuple]) -> list:
-    """Combine per-point verdict lists: a verdict passes iff it passes at
-    every point; the first failing point is reported."""
-    merged: list = []
-    ids = [v.identity for v in per_point[0][1]]
-    for i, vid in enumerate(ids):
-        final = Verdict(vid, "pass")
-        for point, verdicts in per_point:
-            v = verdicts[i]
-            if v.status == "fail":
-                ce = v.counterexample
-                ce.point = dict(point)
-                final = v
-                break
-            if v.status == "inapplicable" and final.status == "pass":
-                final = v
-        merged.append(final)
-    return merged
-
-
-def _structure_verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:
+def _verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:
     for opname, arity in defn.ops:
         bundle.require_op(opname, arity)
     for m in defn.maps:
         bundle.require_map(m)
-    return _run_all(defn.predicates, defn.identities, bundle)
+    verdicts = [_predicate_verdict(p, bundle) for p in defn.predicates]
+    invertible = None
+    for item in defn.identities:
+        vid, ident = (item, IDENTITIES[item]) if isinstance(item, str) else item
+        if vid in REGULAR_ONLY:
+            if invertible is None:
+                invertible = _maps_invertible(bundle)
+            if not invertible:
+                verdicts.append(Verdict(vid, "inapplicable", "structure maps not invertible"))
+                continue
+        verdicts.append(check_identity(ident, bundle, vid))
+    return verdicts
+
+
+def definition_verdicts(defn: StructureDef, cases) -> list:
+    """On each (label, bundle) case: require the definition's ops and maps,
+    then run its predicates and its identities; the per-case verdict lists
+    are combined by engine.merge."""
+    return merge([(label, _verdicts(defn, bundle)) for label, bundle in cases])
+
+
+def check_definition(
+    defn: StructureDef,
+    bundle: AlgebraBundle,
+    mode: str = "symbolic",
+    points: Sequence[Mapping[str, Fraction]] | None = None,
+    seed: int | None = None,
+) -> Report:
+    """Run a definition on a bundle. Mode "symbolic" works over the bundle's
+    ring as-is; mode "sampled" specializes at each given parameter point
+    (see engine.checked_points) and merges the verdicts."""
+    if mode == "symbolic":
+        cases, points, seed = [(None, bundle)], None, None
+    elif mode == "sampled":
+        points = checked_points(bundle, points)
+        cases = ((p, bundle.eval_at(p)) for p in points)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    verdicts = definition_verdicts(defn, cases)
+    return Report(bundle.label(), defn.name, mode, verdicts, seed=seed, points=points)
 
 
 def check_structure(
@@ -411,36 +423,20 @@ def check_structure(
     points: Sequence[Mapping[str, Fraction]] | None = None,
     seed: int | None = None,
 ) -> Report:
-    """Run a registered structure's predicates and identities on a bundle.
-
-    mode "symbolic" works over the bundle's ring as-is; mode "sampled"
-    specializes at each given parameter point (which must satisfy the
-    bundle's constraints) and merges the verdicts.
-    """
+    """Run a registered structure's predicates and identities on a bundle
+    (see check_definition for the modes)."""
     if name == "tbp-nlie":
         return check_nary_transposed(bundle, mode=mode, points=points, seed=seed)
-    defn = REGISTRY.get(name)
-    if defn is None:
-        raise KeyError(f"unknown structure {name!r}")
-    if mode == "symbolic":
-        verdicts = _structure_verdicts(defn, bundle)
-        return Report(bundle.label(), name, "symbolic", verdicts, notes=list(defn.notes))
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    per_point = [
-        (point, _structure_verdicts(defn, bundle.eval_at(point)))
-        for point in checked_points(bundle, points)
-    ]
-    verdicts = _merge_sampled(per_point)
-    return Report(
-        bundle.label(),
-        name,
-        "sampled",
-        verdicts,
-        seed=seed,
-        points=[p for p, _ in per_point],
-        notes=list(defn.notes),
-    )
+    if name not in REGISTRY:
+        raise BihomError(
+            f"unknown structure {name!r}; known: {', '.join(sorted(REGISTRY))}, tbp-nlie"
+        )
+    return check_definition(REGISTRY[name], bundle, mode, points, seed)
+
+
+def check_suite(name: str, bundle: AlgebraBundle) -> Report:
+    """Run one of the SUITES on a bundle."""
+    return check_definition(SUITES[name], bundle)
 
 
 def check_nary_transposed(
@@ -453,80 +449,29 @@ def check_nary_transposed(
     """Transposed compatibility and adjacent-swap skew laws for an n-ary
     bracket. The n-ary Jacobi law is NOT checked: its general form is an
     external definition this package does not restate."""
-    op = bundle.require_op(op_name)
-    n = op.arity
-    extra = [(f"nskew-{i+1}{i+2}", nary_skew_identity(op_name, n, i)) for i in range(n - 1)]
-    extra.append((f"ncompat({n})", nary_transposed_compat_identity(op_name, n)))
-    preds = (
-        ("commute", "a", "b"),
-        ("multiplicative", "a", op_name),
-        ("multiplicative", "b", op_name),
-        ("multiplicative", "a", "mul"),
-        ("multiplicative", "b", "mul"),
+    n = bundle.require_op(op_name).arity
+    skew = [(f"nskew-{i+1}{i+2}", nary_skew_identity(op_name, n, i)) for i in range(n - 1)]
+    defn = StructureDef(
+        "tbp-nlie",
+        ((op_name, n), ("mul", 2)),
+        ("a", "b"),
+        (
+            ("commute", "a", "b"),
+            ("multiplicative", "a", op_name),
+            ("multiplicative", "b", op_name),
+            ("multiplicative", "a", "mul"),
+            ("multiplicative", "b", "mul"),
+        ),
+        ("comm", *skew, (f"ncompat({n})", nary_transposed_compat_identity(op_name, n))),
     )
-    note = "n-ary Jacobi identity not checked (external definition)"
-    if mode == "symbolic":
-        verdicts = _run_all(preds, ("comm",), bundle, extra)
-        return Report(bundle.label(), "tbp-nlie", "symbolic", verdicts, notes=[note])
-    per_point = [
-        (point, _run_all(preds, ("comm",), bundle.eval_at(point), extra))
-        for point in checked_points(bundle, points)
-    ]
-    verdicts = _merge_sampled(per_point)
-    return Report(
-        bundle.label(), "tbp-nlie", "sampled", verdicts, seed=seed,
-        points=[p for p, _ in per_point], notes=[note],
-    )
+    report = check_definition(defn, bundle, mode, points, seed)
+    report.notes.append("n-ary Jacobi identity not checked (external definition)")
+    return report
 
 
 # ---------------------------------------------------------------------------
 # special reports
 # ---------------------------------------------------------------------------
-
-
-def check_consequence_suite(bundle: AlgebraBundle) -> Report:
-    """The four cyclic identities every transposed bundle satisfies."""
-    for name in ("mul", "br"):
-        bundle.require_op(name, 2)
-    for name in ("a", "b"):
-        bundle.require_map(name)
-    verdicts = [_run_identity(i, bundle) for i in SUITES["thm25"]]
-    return Report(bundle.label(), "thm25", "symbolic", verdicts)
-
-
-def _maps_invertible(bundle: AlgebraBundle, names=("a", "b")) -> bool:
-    return all(not bundle.require_map(n).det().is_zero() for n in names)
-
-
-def check_overlap_tbp_bp(bundle: AlgebraBundle) -> Report:
-    """Overlap laws for bundles that are BP and transposed-BP at once; the
-    plain forms are added when both maps are invertible, else they are
-    reported inapplicable."""
-    for name in ("mul", "br"):
-        bundle.require_op(name, 2)
-    verdicts = [_run_identity(i, bundle) for i in ("overlap-mul-br", "overlap-br-mul")]
-    plain = ("overlap-mul-br-plain", "overlap-br-mul-plain")
-    if _maps_invertible(bundle):
-        verdicts += [_run_identity(i, bundle) for i in plain]
-    else:
-        verdicts += [
-            Verdict(i, "inapplicable", "structure maps not invertible") for i in plain
-        ]
-    return Report(bundle.label(), "eq2.20", "symbolic", verdicts)
-
-
-def check_ternary_overlap(bundle: AlgebraBundle) -> Report:
-    bundle.require_op("mul", 2)
-    bundle.require_op("tbr", 3)
-    verdicts = [_run_identity(i, bundle) for i in ("toverlap-mul-tbr", "toverlap-tbr-mul")]
-    plain = ("toverlap-mul-tbr-plain", "toverlap-tbr-mul-plain")
-    if _maps_invertible(bundle):
-        verdicts += [_run_identity(i, bundle) for i in plain]
-    else:
-        verdicts += [
-            Verdict(i, "inapplicable", "structure maps not invertible") for i in plain
-        ]
-    return Report(bundle.label(), "eq3.15", "symbolic", verdicts)
 
 
 def check_derivation(
@@ -538,16 +483,13 @@ def check_derivation(
     """Leibniz rule of one map over the named operations, plus commutation
     with the structure maps when requested."""
     bundle.require_map(map_name)
-    verdicts = []
-    if check_commutes:
-        for other in ("a", "b"):
-            if other in bundle.maps:
-                verdicts.append(_predicate_verdict(("commute", map_name, other), bundle))
-    for opname in op_names:
-        op = bundle.require_op(opname)
-        ident = derivation_identity(map_name, opname, op.arity)
-        verdicts.append(check_identity(ident, bundle, f"derivation({map_name},{opname})"))
-    return Report(bundle.label(), f"derivation({map_name})", "symbolic", verdicts)
+    others = [m for m in ("a", "b") if check_commutes and m in bundle.maps]
+    laws = []
+    for op in op_names:
+        ident = derivation_identity(map_name, op, bundle.require_op(op).arity)
+        laws.append((f"derivation({map_name},{op})", ident))
+    preds = tuple(("commute", map_name, m) for m in others)
+    return check_definition(StructureDef(f"derivation({map_name})", (), (), preds, tuple(laws)), bundle)
 
 
 def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
@@ -555,8 +497,6 @@ def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
     commutes with both structure maps."""
     f = bundle.require_map(map_name)
     bundle.require_op("br", 2)
-    from .linear import LinMap
-
     square = f.compose(f)
     ident_m = LinMap.identity(bundle.space, bundle.ring.params)
     vid = f"squares-to-identity({map_name})"
@@ -590,20 +530,18 @@ def check_compat_equivalence(bundle: AlgebraBundle) -> Report:
     match and whether the hypotheses held."""
     for name in ("mul", "star"):
         bundle.require_op(name, 2)
-    notes = []
     if not _maps_invertible(bundle):
         raise NotInvertible("equivalence requires invertible structure maps")
-    comm = _run_identity("comm", bundle)
-    verdicts = [
-        _run_identity("np-compat-right", bundle),
-        _run_identity("np-compat-assoc", bundle),
-    ]
+    ids = ("np-compat-right", "np-compat-assoc", "comm")
+    report = check_definition(StructureDef("compat-equivalence", (), (), (), ids), bundle)
+    right, assoc, comm = report.verdicts
     if comm.status != "pass":
-        notes.append("hypothesis failure: product not twisted-commutative; agreement not asserted")
+        report.notes.append(
+            "hypothesis failure: product not twisted-commutative; agreement not asserted"
+        )
     else:
-        agree = verdicts[0].status == verdicts[1].status
-        notes.append(f"agreement: {str(agree).lower()}")
-    return Report(bundle.label(), "compat-equivalence", "symbolic", verdicts + [comm], notes=notes)
+        report.notes.append(f"agreement: {str(right.status == assoc.status).lower()}")
+    return report
 
 
 def check_power_suite(
@@ -614,24 +552,18 @@ def check_power_suite(
     """The two exponent-template identities on a default (or given) grid of
     exponent tuples, plus the fixed instance. Inapplicable on bundles whose
     maps are not invertible (the templates use negative powers)."""
-    for name in ("mul", "br"):
-        bundle.require_op(name, 2)
     if exponent_tuples is None:
-        from .rng import SplitRng
-
         rng = SplitRng(seed).child("power-suite")
-        exponent_tuples = [ExponentTuple(), FIXED_EXPONENTS_GRID]
+        exponent_tuples = [ExponentTuple(), FIXED_EXPONENTS]
         exponent_tuples += [
             ExponentTuple.from_seq([rng.randint(-2, 2) for _ in range(8)]) for _ in range(8)
         ]
-    verdicts = []
-    for exps in exponent_tuples:
-        for which, tag in (("eq31", "power-1"), ("eq32", "power-2")):
-            ident = instantiate_power_identity(which, exps)
-            vid = f"{tag}@{exps.as_tuple()}"
-            verdicts.append(check_identity(ident, bundle, vid))
-    verdicts.append(_run_identity("power-fixed", bundle))
-    return Report(bundle.label(), "lemma31", "symbolic", verdicts, seed=seed)
-
-
-from .engine import FIXED_EXPONENTS as FIXED_EXPONENTS_GRID  # noqa: E402
+    laws = [
+        (f"{tag}@{exps.as_tuple()}", instantiate_power_identity(which, exps))
+        for exps in exponent_tuples
+        for which, tag in (("eq31", "power-1"), ("eq32", "power-2"))
+    ]
+    defn = StructureDef("lemma31", (("mul", 2), ("br", 2)), (), (), (*laws, "power-fixed"))
+    report = check_definition(defn, bundle)
+    report.seed = seed
+    return report

@@ -10,6 +10,7 @@ import pytest
 
 from bihomcheck.catalog import (
     AXIS_IDS,
+    CATALOG_AXES,
     complete_by_skew,
     entries,
     get_entry,
@@ -22,7 +23,7 @@ from bihomcheck.catalog import (
 from bihomcheck.errors import Inconsistent, UnknownEntry
 from bihomcheck.linear import Vector
 from bihomcheck.rng import SplitRng
-from bihomcheck.structures import check_consequence_suite
+from bihomcheck.structures import check_suite, definition_verdicts
 
 
 def test_all_entries_present():
@@ -230,15 +231,13 @@ class TestAggregate:
     def test_zero_point_specialization_stable(self):
         """Specializing every parameter to 0 reduces all axes to checks over
         plain rationals; the resulting report is identical across runs."""
-        from bihomcheck.catalog import _axis_verdicts
-
         outputs = []
         for _ in range(2):
             rows = {}
             for entry_id, entry in entries().items():
                 bundle = entry.completed_bundle()
                 point = {p: Fraction(0) for p in bundle.ring.params}
-                verdicts = _axis_verdicts(bundle.eval_at(point))
+                verdicts = definition_verdicts(CATALOG_AXES, [(None, bundle.eval_at(point))])
                 rows[entry_id] = [v.to_dict() for v in verdicts]
             outputs.append(json.dumps(rows, sort_keys=True))
         assert outputs[0] == outputs[1]
@@ -249,7 +248,7 @@ class TestAggregate:
         for entry_id, entry in entries().items():
             if entry.status != "asserted-pass":
                 continue
-            report = check_consequence_suite(entry.completed_bundle())
+            report = check_suite("thm25", entry.completed_bundle())
             assert report.passed, entry_id
 
 

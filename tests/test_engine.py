@@ -20,6 +20,7 @@ from bihomcheck.engine import (
     check_identity,
     check_identity_sampled,
     instantiate_power_identity,
+    merge,
 )
 from bihomcheck.errors import (
     ArityMismatch,
@@ -153,7 +154,9 @@ def test_compiled_walk_matches_reference_on_catalog(entry_id):
     evaluator equal those of the reference walk, on every catalog entry."""
     bundle = get_entry(entry_id).completed_bundle()
     for identity_id in sorted(
-        set(REGISTRY["tbp"].identities) | set(REGISTRY["bp"].identities) | set(SUITES["thm25"])
+        set(REGISTRY["tbp"].identities)
+        | set(REGISTRY["bp"].identities)
+        | set(SUITES["thm25"].identities)
     ):
         assert_matches_reference(IDENTITIES[identity_id], bundle, identity_id)
 
@@ -180,6 +183,37 @@ def test_compiled_residual_text_on_rational_functions():
 def test_sampled_needs_a_point(entry26):
     with pytest.raises(NoSamplePoints):
         check_identity_sampled(IDENTITIES["comm"], entry26, [])
+
+
+def test_merge_keeps_a_fail_without_counterexample():
+    """A verdict that fails with a reason only (such as regular(a)) is left
+    as it is; a labelled fail with a counterexample records its point."""
+    regular = Verdict("regular(a)", "fail", reason="determinant is zero")
+    law = Verdict("law", "fail", counterexample=Counterexample((0,), ("1",)))
+    merged = merge([
+        ({"k1": Fraction(2)}, [Verdict("regular(a)", "pass"), law]),
+        ({"k1": Fraction(0)}, [regular, Verdict("law", "pass")]),
+    ])
+    assert merged[0] is regular and regular.counterexample is None
+    assert merged[1].counterexample.point == {"k1": Fraction(2)}
+    unlabelled = Verdict("law", "fail", counterexample=Counterexample((0,), ("1",)))
+    assert merge([(None, [unlabelled])])[0].counterexample.point is None
+
+
+def test_sampled_later_fail_beats_earlier_inapplicable():
+    """At k1 = 0 the map a is singular (inapplicable), at k1 = 2 the law
+    fails: the fail wins, as it does in Report.overall."""
+    bundle = make_bundle(
+        ["e1", "e2"],
+        ("k1",),
+        {"br": (2, {(0, 0): ("1", "0")})},
+        {"a": [["k1", "0"], ["0", "1"]]},
+    )
+    ident = parse_identity("forall x,y: br(a^-1(x), y) = 0")
+    v = check_identity_sampled(ident, bundle, [{"k1": 0}, {"k1": 2}], "law")
+    assert v.status == "fail"
+    assert v.counterexample.point == {"k1": Fraction(2)}
+    assert check_identity_sampled(ident, bundle, [{"k1": 0}], "law").status == "inapplicable"
 
 
 def test_cyc_of_cyc_is_three_times(entry26):

@@ -1,0 +1,48 @@
+"""Source hygiene of the package: every imported name is used."""
+
+from __future__ import annotations
+
+import ast
+from importlib import resources
+
+import pytest
+
+
+def package_sources():
+    folder = resources.files("bihomcheck")
+    return sorted(
+        (p for p in folder.iterdir() if p.name.endswith(".py")), key=lambda p: p.name
+    )
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # names quoted in annotations, such as -> "Scalar"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", package_sources(), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_sees_an_unused_import():
+    assert unused_imports("import os\nfrom x import y, z\nprint(y)\n") == [
+        "os (line 1)", "z (line 2)",
+    ]

@@ -115,6 +115,17 @@ class TestBundleFormat:
             load_bundle(path)
 
 
+def malformed(**fields):
+    good = {
+        "schema": 1,
+        "dim": 2,
+        "basis": ["e1", "e2"],
+        "ops": {"mul": {"arity": 2, "entries": []}},
+        "maps": {"a": [["1", "0"], ["0", "1"]]},
+    }
+    return dict(good, **fields)
+
+
 @pytest.fixture(scope="module")
 def entry26_file(tmp_path_factory, entry26):
     path = tmp_path_factory.mktemp("bundles") / "entry26.bundle"
@@ -149,6 +160,74 @@ class TestCli:
         path.write_text("{}")
         assert cli_main(["check", str(path), "--structure", "tbp"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, data",
+        [
+            ("op-without-arity", malformed(ops={"mul": {"entries": []}})),
+            ("dim-not-a-number", malformed(dim="two")),
+            ("map-not-a-matrix", malformed(maps={"a": 5})),
+            ("duplicate-labels", malformed(basis=["e", "e"])),
+        ],
+    )
+    def test_malformed_bundle_fields_exit_two(self, case, data, tmp_path, capsys):
+        path = tmp_path / f"{case}.bundle"
+        path.write_text(json.dumps(data))
+        assert cli_main(["check", str(path), "--structure", "tbp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_twist_power_exit_two(self, entry26_file, tmp_path, capsys):
+        out = tmp_path / "tw.bundle"
+        code = cli_main(["construct", "twist", entry26_file, "-o", str(out), "--op", "mul=a^x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad power in twist spec 'mul=a^x'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_sampled_regular_singular_point(self, seed, tmp_path, capsys):
+        """At a point where a is singular, regular(a) fails with a reason and
+        no counterexample; the sampled report must still come out."""
+        data = malformed(
+            ring={"params": ["k1", "k2"], "constraints": []},
+            ops={"br": {"arity": 2, "entries": []}},
+            maps={"a": [["k1", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]},
+        )
+        path = tmp_path / "reg.bundle"
+        path.write_text(json.dumps(data))
+        code = cli_main(
+            ["check", str(path), "--structure", "bihom-lie-regular", "--mode", "sampled",
+             "--samples", "5", "--seed", str(seed)]
+        )
+        out = capsys.readouterr().out
+        assert code == 1 and "regular(a)" in out and "determinant is zero" in out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sampled_rational_function_bundle(self, seed, tmp_path, capsys):
+        """Entry 20's branch bundle has denominators k1^2 - k1: sample points
+        where they vanish are skipped, not reported as errors."""
+        from bihomcheck.catalog import get_entry
+
+        path = tmp_path / "e20-branch.bundle"
+        save_bundle(get_entry(20).branch_bundles()[0][1], path)
+        code = cli_main(
+            ["check", str(path), "--structure", "tbp", "--mode", "sampled", "--seed", str(seed)]
+        )
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert "overall: PASS" in out
+
+    def test_point_errors_print_points_plainly(self):
+        from fractions import Fraction
+
+        from bihomcheck.errors import ConstraintViolated, DenominatorVanishes
+
+        point = {"k1": Fraction(0), "k2": Fraction(5)}
+        assert str(DenominatorVanishes(point)) == "denominator vanishes at k1=0, k2=5"
+        assert str(ConstraintViolated(point, "k1 - 1")) == (
+            "point k1=0, k2=5 violates constraint k1 - 1 = 0"
+        )
 
     def test_usage_error_exit_two(self, capsys):
         assert cli_main(["check"]) == 2
@@ -216,6 +295,13 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "error: sampled mode needs at least one point\n"
 
+    def test_catalog_sampled_zero_samples_exit_two(self, capsys):
+        code = cli_main(
+            ["catalog", "verify", "--entries", "1", "--mode", "sampled", "--samples", "0"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: sampled mode needs at least one point\n"
+
     def test_construct_and_tensor(self, tmp_path, capsys):
         from bihomcheck.construct import truncated_polynomial_algebra
         from conftest import euler_map
@@ -275,6 +361,12 @@ class TestCli:
         capsys.readouterr()
         data = json.loads(report.read_text())
         assert len(data["reports"]) == 2
+
+    @pytest.mark.parametrize("path", shipped_catalog_paths(), ids=lambda p: p.name)
+    def test_catalog_show_prints_the_shipped_file(self, path, capsys):
+        entry_id = int(path.name[len("entry"):-len(".json")])
+        assert cli_main(["catalog", "show", str(entry_id)]) == 0
+        assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
     def test_full_catalog_verify_byte_stable(self, tmp_path, capsys):
         r1, r2 = tmp_path / "c1.json", tmp_path / "c2.json"

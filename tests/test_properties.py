@@ -25,8 +25,8 @@ from bihomcheck.scalars import Scalar
 from bihomcheck.structures import (
     IDENTITIES,
     check_compat_equivalence,
-    check_consequence_suite,
     check_structure,
+    check_suite,
 )
 from bihomcheck.engine import check_identity
 
@@ -203,7 +203,7 @@ def test_transposed_implies_consequences(tbp_pool):
         if not check_structure("tbp", bundle).passed:
             continue
         passing += 1
-        suite = check_consequence_suite(bundle)
+        suite = check_suite("thm25", bundle)
         assert suite.passed, (label, [v.identity for v in suite.verdicts if not v.passed])
         assert check_identity(IDENTITIES["strongness"], bundle, "strongness").passed, label
     assert passing >= 20

@@ -21,12 +21,10 @@ from bihomcheck.structures import (
     IDENTITIES,
     REGISTRY,
     check_compat_equivalence,
-    check_consequence_suite,
     check_derivation,
     check_involution,
-    check_overlap_tbp_bp,
     check_structure,
-    check_ternary_overlap,
+    check_suite,
 )
 
 from conftest import euler_map, make_bundle
@@ -95,10 +93,39 @@ def test_sampled_points_validated_on_both_paths():
         assert check_structure(name, bundle, "sampled", [{"k1": 1, "k2": 3}]).passed
 
 
+def test_sampled_regular_fail_has_no_counterexample():
+    """regular(a) fails with a reason and no counterexample at a point where
+    a is singular; merging the sampled verdicts keeps it that way."""
+    bundle = make_bundle(
+        ["e1", "e2"],
+        ("k1", "k2"),
+        {"br": (2, {})},
+        {"a": [["k1", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]},
+    )
+    points = [{"k1": 3, "k2": 1}, {"k1": 0, "k2": 1}]
+    report = check_structure("bihom-lie-regular", bundle, "sampled", points)
+    v = report.verdict("regular(a)")
+    assert (v.status, v.reason, v.counterexample) == ("fail", "determinant is zero", None)
+    assert report.verdict("regular(b)").passed and report.overall == "fail"
+
+
+def test_unknown_mode_raises_on_every_structure():
+    ident = [["1", "0"], ["0", "1"]]
+    bundle = make_bundle(
+        ["e1", "e2"],
+        (),
+        {"mul": (2, {}), "br": (2, {}), "nbr": (3, {})},
+        {"a": ident, "b": ident},
+    )
+    for name in ("tbp", "tbp-nlie"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            check_structure(name, bundle, "bogus", [{}])
+
+
 def test_consequence_suite(entry26, zero_bundle, euler_wronskian):
-    assert check_consequence_suite(entry26).passed
-    assert check_consequence_suite(zero_bundle).passed
-    assert check_consequence_suite(euler_wronskian).passed
+    assert check_suite("thm25", entry26).passed
+    assert check_suite("thm25", zero_bundle).passed
+    assert check_suite("thm25", euler_wronskian).passed
 
 
 def degenerate_product_bundle():
@@ -114,17 +141,17 @@ def test_overlap_degenerate_bundle_passes():
     bundle = degenerate_product_bundle()
     assert check_structure("bp", bundle).passed
     assert check_structure("tbp", bundle).passed
-    report = check_overlap_tbp_bp(bundle)
+    report = check_suite("eq2.20", bundle)
     assert report.passed  # including the plain forms: maps are invertible
     assert {v.identity for v in report.verdicts} == {
         "overlap-mul-br", "overlap-br-mul", "overlap-mul-br-plain", "overlap-br-mul-plain",
     }
-    ternary = check_ternary_overlap(bundle)
+    ternary = check_suite("eq3.15", bundle)
     assert ternary.passed
 
 
 def test_overlap_entry26_fails(entry26):
-    report = check_overlap_tbp_bp(entry26)
+    report = check_suite("eq2.20", entry26)
     assert report.overall == "fail"
     assert report.verdict("overlap-br-mul").status == "fail"
 
@@ -132,7 +159,7 @@ def test_overlap_entry26_fails(entry26):
 def test_overlap_plain_forms_inapplicable_on_singular_maps():
     from bihomcheck.catalog import get_entry
 
-    report = check_overlap_tbp_bp(get_entry(24).completed_bundle())
+    report = check_suite("eq2.20", get_entry(24).completed_bundle())
     assert report.verdict("overlap-mul-br-plain").status == "inapplicable"
 
 
