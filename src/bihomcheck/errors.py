@@ -84,12 +84,12 @@ class LinearityViolation(BihomError, ValueError):
         )
 
 
-class _LookupError(BihomError, KeyError):
+class _PlainKeyError(BihomError, KeyError):
     def __str__(self):  # KeyError quotes its arg; keep the plain message
         return self.args[0]
 
 
-class UnknownName(_LookupError):
+class UnknownName(_PlainKeyError):
     """An identity mentions an op/map the bundle does not provide."""
 
     def __init__(self, name: str, detail: str = ""):
@@ -97,13 +97,13 @@ class UnknownName(_LookupError):
         super().__init__(f"unknown name {name!r}" + (f": {detail}" if detail else ""))
 
 
-class MissingOp(_LookupError):
+class MissingOp(_PlainKeyError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"bundle has no operation {name!r}")
 
 
-class MissingMap(_LookupError):
+class MissingMap(_PlainKeyError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"bundle has no linear map {name!r}")
@@ -133,7 +133,7 @@ class Inconsistent(BihomError, ValueError):
         super().__init__(f"inconsistent system row: {row}")
 
 
-class UnknownEntry(_LookupError):
+class UnknownEntry(_PlainKeyError):
     def __init__(self, entry_id):
         self.entry_id = entry_id
         super().__init__(f"no catalog entry {entry_id!r}")
