@@ -3,8 +3,8 @@ named linear maps over a shared coefficient ring.
 
 Conventional names (enforced arities): binary ops mul, br, star; ternary tbr;
 nbr with its declared arity. Conventional maps: a, b (the two structure
-endomorphisms), D (a derivation), f (an involution); extra maps are allowed
-under any name.
+endomorphisms), D (a derivation), f (an involution); extra ops and maps may
+take any name that .idl text can spell, so every law can mention them.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ class AlgebraBundle:
         self.ops = dict(ops)
         self.maps = dict(maps)
         self.provenance = dict(provenance) if provenance else None
+        for name in (*self.ops, *self.maps):
+            if not name.isidentifier() or name == "cyc":
+                raise ValueError(f"name {name!r} can not be written in .idl text")
         for name, op in self.ops.items():
             if op.space != space:
                 raise SpaceMismatch(f"op {name!r} lives on a different space")

@@ -238,8 +238,10 @@ def _parse_entry_range(text: str) -> list:
         for piece in text.split(","):
             piece = piece.strip()
             if "-" in piece:
-                lo, hi = piece.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(end) for end in piece.split("-", 1))
+                if lo > hi:
+                    raise ValueError(piece)
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(piece))
     except ValueError:
@@ -373,10 +375,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BihomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (BihomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

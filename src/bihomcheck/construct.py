@@ -25,13 +25,17 @@ from .linear import (
     LinMap,
     MultiOp,
     Vector,
-    check_commute,
     tensor_map,
     tensor_space,
     twist_op,
 )
 from .scalars import Scalar
-from .structures import check_structure, derivation_identity, multiplicativity_identity
+from .structures import (
+    check_structure,
+    commute_identity,
+    derivation_identity,
+    multiplicativity_identity,
+)
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,10 @@ class _Hypotheses:
         self.demand(check_identity(ident, bundle, what).passed, what)
 
     def check_commute(self, bundle: AlgebraBundle, m1: str, m2: str):
-        res = check_commute(bundle.require_map(m1), bundle.require_map(m2))
-        self.demand(res.ok, f"maps {m1!r} and {m2!r} do not commute")
+        bundle.require_map(m1)
+        bundle.require_map(m2)
+        what = f"maps {m1!r} and {m2!r} do not commute"
+        self.check_identity(commute_identity(m1, m2), bundle, what)
 
     def provenance(self, **fields) -> dict:
         prov = {"construction": self.construction, **fields}

@@ -1,14 +1,17 @@
 """Decide whether a multilinear identity holds on a bundle.
 
+check_identity is the package's one decision procedure: every law, read from
+a .idl file or written as text from names and exponents (structures, the
+templates below), is parsed by dsl.parse_identity and decided here.
+
 The linearity invariant of the DSL (each declared variable exactly once per
 monomial) makes an identity multilinear in its variables, so it vanishes on
 every vector assignment iff it vanishes on every assignment of basis vectors.
 check_identity therefore walks all dim^|vars| basis tuples in lexicographic
 order and reports the first failure, which is canonical regardless of any
-internal evaluation strategy.
-
-Negative map powers are resolved when an identity is bound to a bundle; a
-singular map makes the verdict inapplicable rather than pass/fail.
+internal evaluation strategy. Negative map powers are resolved when an
+identity is bound to a bundle; a singular map makes the verdict inapplicable
+rather than pass/fail.
 
 The walk runs on a compiled form of the bound identity, built once per
 check_identity call. Every monomial (after cyc expansion) is hash-consed
@@ -39,7 +42,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bundle import AlgebraBundle
-from .dsl import Identity, MapApply, Node, OpApply, Var, expand_identity
+from .dsl import Identity, MapApply, Node, OpApply, Var, expand_identity, parse_identity
 from .errors import (
     ArityMismatch,
     ConstraintViolated,
@@ -309,7 +312,8 @@ def check_identity_sampled(
 
 
 # ---------------------------------------------------------------------------
-# exponent-template identity family
+# exponent-template identity family: .idl text with the exponents filled in
+# (the parser drops zero powers, so a^0(b^q(y)) reads as b^q(y))
 # ---------------------------------------------------------------------------
 
 
@@ -339,100 +343,32 @@ class ExponentTuple:
 FIXED_EXPONENTS = ExponentTuple(m=-2, n=0, l=-1, s=-1, p=-2, q=0, k=-1, t=-1)
 
 
-def _ab(p: int, q: int, var: str) -> Node:
-    """alpha^p beta^q applied to a variable, with zero powers dropped."""
-    node: Node = Var(var)
-    if q != 0:
-        node = MapApply("b", q, node)
-    if p != 0:
-        node = MapApply("a", p, node)
-    return node
-
-
 def _power_family_first(e: ExponentTuple) -> Identity:
     m, n, l, s, p, q, k, t = e.as_tuple()
-    terms = (
-        (
-            1,
-            OpApply(
-                "br",
-                (
-                    OpApply("mul", (_ab(p, q + 2, "y"), _ab(l + 1, s + 2, "v"))),
-                    OpApply("mul", (_ab(m + 2, n, "u"), _ab(k + 1, t + 1, "z"))),
-                ),
-            ),
-        ),
-        (
-            1,
-            OpApply(
-                "br",
-                (
-                    OpApply("mul", (_ab(m + 1, n + 1, "u"), _ab(p + 1, q + 1, "y"))),
-                    OpApply("mul", (_ab(k, t + 2, "z"), _ab(l + 2, s + 1, "v"))),
-                ),
-            ),
-        ),
-        (
-            -2,
-            OpApply(
-                "mul",
-                (
-                    OpApply("mul", (_ab(m + 1, n + 1, "u"), _ab(l + 1, s + 2, "v"))),
-                    OpApply("br", (_ab(p + 1, q + 1, "y"), _ab(k + 1, t + 1, "z"))),
-                ),
-            ),
-        ),
+    return parse_identity(
+        "forall y,v,u,z:"
+        f" br(mul(a^{p}(b^{q+2}(y)), a^{l+1}(b^{s+2}(v))),"
+        f"    mul(a^{m+2}(b^{n}(u)), a^{k+1}(b^{t+1}(z))))"
+        f" + br(mul(a^{m+1}(b^{n+1}(u)), a^{p+1}(b^{q+1}(y))),"
+        f"      mul(a^{k}(b^{t+2}(z)), a^{l+2}(b^{s+1}(v))))"
+        f" - 2*mul(mul(a^{m+1}(b^{n+1}(u)), a^{l+1}(b^{s+2}(v))),"
+        f"         br(a^{p+1}(b^{q+1}(y)), a^{k+1}(b^{t+1}(z))))"
+        " = 0"
     )
-    return Identity(("y", "v", "u", "z"), terms)
 
 
 def _power_family_second(e: ExponentTuple) -> Identity:
     m, n, l, s, p, q, k, t = e.as_tuple()
-    terms = (
-        (
-            1,
-            OpApply(
-                "mul",
-                (
-                    _ab(p + 2, q + 2, "x"),
-                    OpApply(
-                        "br",
-                        (
-                            _ab(l + 1, s + 2, "u"),
-                            OpApply("mul", (_ab(m + 2, n, "y"), _ab(k + 2, t, "v"))),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        (
-            1,
-            OpApply(
-                "mul",
-                (
-                    _ab(k + 1, t + 3, "v"),
-                    OpApply(
-                        "br",
-                        (
-                            OpApply("mul", (_ab(p + 1, q + 1, "x"), _ab(m + 2, n, "y"))),
-                            _ab(l + 2, s + 1, "u"),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        (
-            1,
-            OpApply(
-                "mul",
-                (
-                    OpApply("mul", (_ab(m + 1, n + 2, "y"), _ab(l + 1, s + 2, "u"))),
-                    OpApply("br", (_ab(k + 1, t + 2, "v"), _ab(p + 3, q, "x"))),
-                ),
-            ),
-        ),
+    return parse_identity(
+        "forall x,y,u,v:"
+        f" mul(a^{p+2}(b^{q+2}(x)),"
+        f"     br(a^{l+1}(b^{s+2}(u)), mul(a^{m+2}(b^{n}(y)), a^{k+2}(b^{t}(v)))))"
+        f" + mul(a^{k+1}(b^{t+3}(v)),"
+        f"       br(mul(a^{p+1}(b^{q+1}(x)), a^{m+2}(b^{n}(y))), a^{l+2}(b^{s+1}(u))))"
+        f" + mul(mul(a^{m+1}(b^{n+2}(y)), a^{l+1}(b^{s+2}(u))),"
+        f"       br(a^{k+1}(b^{t+2}(v)), a^{p+3}(b^{q}(x))))"
+        " = 0"
     )
-    return Identity(("x", "y", "u", "v"), terms)
 
 
 def instantiate_power_identity(which: str, exps: ExponentTuple | None = None) -> Identity:

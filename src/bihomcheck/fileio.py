@@ -61,6 +61,9 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
         raise BundleFormatError(
             f"unsupported schema {data.get('schema')!r} (supported: {SCHEMA_VERSION})"
         )
+    for section in ("ring", "ops", "maps"):
+        if not isinstance(data.get(section, {}), dict):
+            raise BundleFormatError(f"{section!r} must be a JSON object")
     labels = list(data["basis"])
     dim = int(data["dim"])
     if len(labels) != dim:
@@ -111,8 +114,15 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
     return AlgebraBundle(space, ring, ops, maps, data.get("provenance"))
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BihomError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_bundle(path) -> AlgebraBundle:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -148,7 +158,7 @@ def load_identity_file(path) -> dict:
     id comments get positional names decl0, decl1, ..."""
     from .dsl import parse_identities, parse_identity_file
 
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if "# id:" in text:
         return parse_identity_file(text)
     return {f"decl{i}": ident for i, ident in enumerate(parse_identities(text))}

@@ -242,13 +242,14 @@ class LinMap:
         if k < 0:
             base = self.inverse()
             k = -k
-        result = LinMap.identity(self.space, self.params)
+        result = None
         while k:
             if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
+                result = base if result is None else result.compose(base)
             k >>= 1
-        return result
+            if k:
+                base = base.compose(base)
+        return LinMap.identity(self.space, self.params) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -279,34 +280,6 @@ class LinMap:
             "[" + ", ".join(c.text() for c in row) + "]" for row in self.rows
         )
         return f"LinMap({rows})"
-
-
-def map_power(m: LinMap, k: int) -> LinMap:
-    return m.power(k)
-
-
-class CommuteResult:
-    """Outcome of a commutation check, with the first failing basis column."""
-
-    __slots__ = ("ok", "index", "residual")
-
-    def __init__(self, ok: bool, index=None, residual: Vector | None = None):
-        self.ok = ok
-        self.index = index
-        self.residual = residual
-
-
-def check_commute(m1: LinMap, m2: LinMap) -> CommuteResult:
-    """Pass iff m1∘m2 = m2∘m1 entrywise; on failure reports the first basis
-    index whose image differs, with the residual column."""
-    _same_space(m1, m2)
-    lhs = m1.compose(m2)
-    rhs = m2.compose(m1)
-    for j in range(m1.space.dim):
-        residual = lhs.column(j) - rhs.column(j)
-        if not residual.is_zero():
-            return CommuteResult(False, j, residual)
-    return CommuteResult(True)
 
 
 class MultiOp:

@@ -462,15 +462,6 @@ def _normalize(params: tuple, num: Poly, den: Poly) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# spec-level operation aliases
-# ---------------------------------------------------------------------------
-
-
-def print_scalar(s: Scalar) -> str:
-    return s.text()
-
-
-# ---------------------------------------------------------------------------
 # coefficient grammar
 # ---------------------------------------------------------------------------
 #

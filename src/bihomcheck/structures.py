@@ -1,18 +1,19 @@
 """Named identity sets and the one runner that turns a bundle into a report.
 
-A StructureDef lists the ops and maps a check requires, its predicates (map
-commutation, multiplicativity, regularity) and its identity ids, in report
-order. REGISTRY holds the structures of `check --structure`, SUITES the sets
-of `identities --set`, catalog.CATALOG_AXES the catalog report's columns.
+A StructureDef lists the ops and maps a check requires, its predicates
+(commutation, multiplicativity, regularity) and its laws, in report order.
+REGISTRY holds the structures of `check --structure`, SUITES the sets of
+`identities --set`, catalog.CATALOG_AXES the catalog report's columns.
 check_definition runs any of them, symbolically or at sample points whose
-verdicts engine.merge combines. The plain overlap forms (REGULAR_ONLY) are
-reported inapplicable on singular maps.
+verdicts engine.merge combines; the plain overlap forms (REGULAR_ONLY) are
+inapplicable on singular maps.
 
-Identity texts live in data/structures/*.idl and data/suites/*.idl, named by
-`# id:` comments; composition and predicates live here, because the .idl
-grammar has no syntax for either. Multiplicativity is a predicate of its own,
-so a bundle that satisfies the laws but not multiplicativity is described
-honestly instead of collapsing into a single verdict.
+Every law is .idl text decided by engine.check_identity: fixed laws sit in
+data/structures/*.idl and data/suites/*.idl under `# id:` comments, laws over
+given names or an arity are written as text here. Only regularity (a
+determinant test) and composition are not laws. Predicates are verdicts of
+their own, so a bundle that satisfies the laws but not multiplicativity is
+described honestly instead of collapsing into a single verdict.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .bundle import AlgebraBundle
-from .dsl import Identity, MapApply, OpApply, Var, parse_identity, parse_identity_file
+from .dsl import Identity, parse_identity, parse_identity_file
 from .engine import (
     FIXED_EXPONENTS,
-    Counterexample,
     ExponentTuple,
     Verdict,
     check_identity,
@@ -35,8 +35,7 @@ from .engine import (
     instantiate_power_identity,
     merge,
 )
-from .errors import BihomError, NotInvertible
-from .linear import LinMap, check_commute
+from .errors import ArityMismatch, BihomError, NotInvertible
 from .rng import SplitRng
 
 
@@ -260,72 +259,79 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# generated helper identities (parameterized by names, so built in code)
+# generated laws (parameterized by names and arity, so written as text here)
 # ---------------------------------------------------------------------------
 
 _VARS = ("x", "y", "z", "u", "v", "w", "x7", "x8")
 
 
+def _op_vars(op_name: str, arity: int) -> tuple:
+    """The variables of a law over one application of an arity-r op. In the
+    .idl grammar a one-argument call is a map, so no text names a unary op."""
+    if arity < 2:
+        raise ArityMismatch(f"{op_name!r} has arity {arity}; generated laws need at least 2")
+    return _VARS[:arity]
+
+
+def _call(name: str, args) -> str:
+    return f"{name}({', '.join(args)})"
+
+
+def _law(names, lhs: str) -> Identity:
+    return parse_identity(f"forall {','.join(names)}: {lhs} = 0")
+
+
+def commute_identity(m1: str, m2: str) -> Identity:
+    """m1(m2(x)) = m2(m1(x))."""
+    return _law(("x",), f"{m1}({m2}(x)) - {m2}({m1}(x))")
+
+
 def multiplicativity_identity(map_name: str, op_name: str, arity: int) -> Identity:
     """m(op(x1..xr)) = op(m(x1),..,m(xr))."""
-    names = _VARS[:arity]
-    lhs = MapApply(map_name, 1, OpApply(op_name, tuple(Var(n) for n in names)))
-    rhs = OpApply(op_name, tuple(MapApply(map_name, 1, Var(n)) for n in names))
-    return Identity(names, ((1, lhs), (-1, rhs)))
+    names = _op_vars(op_name, arity)
+    mapped = _call(op_name, (f"{map_name}({n})" for n in names))
+    return _law(names, f"{map_name}({_call(op_name, names)}) - {mapped}")
 
 
 def derivation_identity(map_name: str, op_name: str, arity: int) -> Identity:
     """Leibniz rule of map_name over an arity-r operation."""
-    names = _VARS[:arity]
-    terms = [(1, MapApply(map_name, 1, OpApply(op_name, tuple(Var(n) for n in names))))]
-    for i in range(arity):
-        args = tuple(
-            MapApply(map_name, 1, Var(n)) if j == i else Var(n)
-            for j, n in enumerate(names)
-        )
-        terms.append((-1, OpApply(op_name, args)))
-    return Identity(names, tuple(terms))
+    names = _op_vars(op_name, arity)
+    terms = [f"{map_name}({_call(op_name, names)})"]
+    for i, x in enumerate(names):
+        args = list(names)
+        args[i] = f"{map_name}({x})"
+        terms.append(_call(op_name, args))
+    return _law(names, " - ".join(terms))
 
 
 def anti_morphism_identity(map_name: str, op_name: str = "br") -> Identity:
     """f(br(x,y)) = -br(f(x), f(y))."""
     f, br = map_name, op_name
-    return parse_identity(f"forall x,y: {f}({br}(x, y)) + {br}({f}(x), {f}(y)) = 0")
+    return _law(("x", "y"), f"{f}({br}(x, y)) + {br}({f}(x), {f}(y))")
 
 
 def nary_skew_identity(op_name: str, n: int, slot: int) -> Identity:
     """Adjacent swap at (slot, slot+1) of the pattern mu(b x1,..,b x_{n-1}, a xn)."""
-    names = _VARS[:n]
-
-    def wrap(i, name):
-        return MapApply("b" if i < n - 1 else "a", 1, Var(name))
-
-    base = tuple(wrap(i, names[i]) for i in range(n))
+    names = _op_vars(op_name, n)
     swapped = list(names)
     swapped[slot], swapped[slot + 1] = swapped[slot + 1], swapped[slot]
-    other = tuple(wrap(i, swapped[i]) for i in range(n))
-    return Identity(names, ((1, OpApply(op_name, base)), (1, OpApply(op_name, other))))
+
+    def pattern(order):
+        return _call(op_name, (f"{'b' if i < n - 1 else 'a'}({x})" for i, x in enumerate(order)))
+
+    return _law(names, f"{pattern(names)} + {pattern(swapped)}")
 
 
 def nary_transposed_compat_identity(op_name: str, n: int) -> Identity:
     """n*ab(u).mu(x1..xn) = sum of mu with the product inserted slotwise."""
-    names = _VARS[:n]
+    names = _op_vars(op_name, n)
     u = "u" if "u" not in names else "u0"
-    lhs = OpApply(
-        "mul",
-        (MapApply("a", 1, MapApply("b", 1, Var(u))), OpApply(op_name, tuple(Var(x) for x in names))),
-    )
-    terms = [(n, lhs)]
-    for i in range(n):
-        args = []
-        for j, x in enumerate(names):
-            if j == i:
-                inner = MapApply("a" if i == n - 1 else "b", 1, Var(u))
-                args.append(OpApply("mul", (inner, Var(x))))
-            else:
-                args.append(MapApply("b", 1, Var(x)))
-        terms.append((-1, OpApply(op_name, tuple(args))))
-    return Identity((u,) + names, tuple(terms))
+    terms = [f"{n}*mul(a(b({u})), {_call(op_name, names)})"]
+    for i, x in enumerate(names):
+        args = [f"b({y})" for y in names]
+        args[i] = f"mul({'a' if i == n - 1 else 'b'}({u}), {x})"
+        terms.append(_call(op_name, args))
+    return _law((u, *names), " - ".join(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +347,14 @@ def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
     kind, vid = pred[0], _predicate_id(pred)
     if kind == "commute":
         _, m1, m2 = pred
-        res = check_commute(bundle.require_map(m1), bundle.require_map(m2))
-        if res.ok:
-            return Verdict(vid, "pass")
-        return Verdict(
-            vid,
-            "fail",
-            counterexample=Counterexample(
-                (res.index,), tuple(c.text() for c in res.residual.coords)
-            ),
-        )
+        bundle.require_map(m1)
+        bundle.require_map(m2)
+        return check_identity(commute_identity(m1, m2), bundle, vid)
     if kind == "multiplicative":
         _, m, opname = pred
         op = bundle.require_op(opname)
         bundle.require_map(m)
-        ident = multiplicativity_identity(m, opname, op.arity)
-        return check_identity(ident, bundle, vid)
+        return check_identity(multiplicativity_identity(m, opname, op.arity), bundle, vid)
     if kind == "regular":
         _, m = pred
         if bundle.require_map(m).det().is_zero():
@@ -495,33 +493,15 @@ def check_derivation(
 def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
     """f squares to the identity, anti-commutes with the bracket, and
     commutes with both structure maps."""
-    f = bundle.require_map(map_name)
-    bundle.require_op("br", 2)
-    square = f.compose(f)
-    ident_m = LinMap.identity(bundle.space, bundle.ring.params)
-    vid = f"squares-to-identity({map_name})"
-    if square == ident_m:
-        verdicts = [Verdict(vid, "pass")]
-    else:
-        j = next(
-            i for i in range(bundle.space.dim)
-            if not (square.column(i) - ident_m.column(i)).is_zero()
-        )
-        residual = square.column(j) - ident_m.column(j)
-        verdicts = [
-            Verdict(
-                vid,
-                "fail",
-                counterexample=Counterexample((j,), tuple(c.text() for c in residual.coords)),
-            )
-        ]
-    verdicts.append(
-        check_identity(anti_morphism_identity(map_name), bundle, f"anti-morphism({map_name},br)")
+    f = map_name
+    bundle.require_map(f)
+    others = [m for m in ("a", "b") if m in bundle.maps]
+    laws = (
+        (f"squares-to-identity({f})", _law(("x",), f"{f}({f}(x)) - x")),
+        (f"anti-morphism({f},br)", anti_morphism_identity(f)),
+        *((f"commute({f},{m})", commute_identity(f, m)) for m in others),
     )
-    for other in ("a", "b"):
-        if other in bundle.maps:
-            verdicts.append(_predicate_verdict(("commute", map_name, other), bundle))
-    return Report(bundle.label(), f"involution({map_name})", "symbolic", verdicts)
+    return check_definition(StructureDef(f"involution({f})", (("br", 2),), (), (), laws), bundle)
 
 
 def check_compat_equivalence(bundle: AlgebraBundle) -> Report:

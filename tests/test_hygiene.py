@@ -1,4 +1,5 @@
-"""Source hygiene of the package: every imported name is used."""
+"""Source hygiene of the package: every imported name is used, and only the
+DSL module builds identity trees; everything else states a law as .idl text."""
 
 from __future__ import annotations
 
@@ -46,3 +47,29 @@ def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom x import y, z\nprint(y)\n") == [
         "os (line 1)", "z (line 2)",
     ]
+
+
+AST_NODES = {"Var", "MapApply", "OpApply", "CycSum", "Identity"}
+
+
+def ast_constructions(source: str) -> list:
+    """Calls that build a DSL tree node directly, as 'Name (line n)'."""
+    return sorted(
+        f"{node.func.id} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in AST_NODES
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in package_sources() if p.name != "dsl.py"], ids=lambda p: p.name
+)
+def test_laws_are_written_as_text(path):
+    assert ast_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_sees_a_tree_construction():
+    source = "x = OpApply('mul', (Var('x'), Var('y')))\nok = isinstance(x, OpApply)\n"
+    assert ast_constructions(source) == ["OpApply (line 1)", "Var (line 1)", "Var (line 1)"]

@@ -108,6 +108,15 @@ class TestBundleFormat:
         with pytest.raises(BundleFormatError):
             bundle_from_dict(dict(MINIMAL, dim=2))
 
+    @pytest.mark.parametrize("name", ["a^2", "b^-1", "D-1", "cyc", "2a", ""])
+    def test_names_idl_can_not_spell(self, name):
+        """Generated laws are .idl text, so a map named a^2 would read as
+        the square of map a; such names are refused when a bundle is built."""
+        with pytest.raises(BundleFormatError, match="can not be written in .idl text"):
+            bundle_from_dict(dict(MINIMAL, maps={name: [["1"]]}))
+        with pytest.raises(BundleFormatError, match="can not be written in .idl text"):
+            bundle_from_dict(dict(MINIMAL, ops={name: {"arity": 2, "entries": []}}))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -168,6 +177,9 @@ class TestCli:
             ("dim-not-a-number", malformed(dim="two")),
             ("map-not-a-matrix", malformed(maps={"a": 5})),
             ("duplicate-labels", malformed(basis=["e", "e"])),
+            ("ring-not-an-object", malformed(ring=[])),
+            ("ops-not-an-object", malformed(ops=5)),
+            ("maps-not-an-object", malformed(maps=[])),
         ],
     )
     def test_malformed_bundle_fields_exit_two(self, case, data, tmp_path, capsys):
@@ -176,6 +188,44 @@ class TestCli:
         assert cli_main(["check", str(path), "--structure", "tbp"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unreadable_paths_exit_two(self, entry26_file, tmp_path, capsys):
+        """A directory, a file that is not UTF-8 or a report path that is a
+        directory is a one-line error, not a traceback."""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        latin = tmp_path / "latin1.txt"
+        latin.write_bytes("forall x: b(x) - x = 0 # \xe9".encode("latin-1"))
+        idl = tmp_path / "ok.idl"
+        idl.write_text("forall x: b(x) - x = 0\n")
+        for argv in (
+            ["check", str(folder), "--structure", "tbp"],
+            ["check", str(latin), "--structure", "tbp"],
+            ["dsl", "check", str(folder), entry26_file],
+            ["dsl", "check", str(latin), entry26_file],
+            ["check", entry26_file, "--structure", "tbp", "--report", str(folder)],
+            ["identities", entry26_file, "--set", "eq3.3", "--report", str(folder)],
+            ["catalog", "verify", "--entries", "26", "--report", str(folder)],
+        ):
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert cli_main(["dsl", "check", str(idl), entry26_file]) == 1
+        capsys.readouterr()
+
+    def test_unary_op_in_generated_law_exit_two(self, tmp_path, capsys):
+        """A one-argument call is a map in the .idl grammar, so a generated
+        law over an arity-1 bracket is refused instead of misread."""
+        ident = [["1", "0"], ["0", "1"]]
+        data = malformed(
+            ops={"mul": {"arity": 2, "entries": []}, "nbr": {"arity": 1, "entries": []}},
+            maps={"a": ident, "b": ident},
+        )
+        path = tmp_path / "unary.bundle"
+        path.write_text(json.dumps(data))
+        assert cli_main(["check", str(path), "--structure", "tbp-nlie"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 'nbr' has arity 1; generated laws need at least 2\n"
 
     def test_malformed_twist_power_exit_two(self, entry26_file, tmp_path, capsys):
         out = tmp_path / "tw.bundle"
@@ -274,6 +324,11 @@ class TestCli:
         assert cli_main(["catalog", "verify", "--entries", "1-x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad entry list '1-x'") and err.count("\n") == 1
+
+    def test_empty_entry_range_exit_two(self, capsys):
+        assert cli_main(["catalog", "verify", "--entries", "5-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad entry list '5-3'") and err.count("\n") == 1
 
     def test_malformed_exponents_exit_two(self, entry26_file, capsys):
         for bad in ("1,2", "0,0,0,0,0,0,0,x"):

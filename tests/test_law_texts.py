@@ -14,8 +14,10 @@ import random
 import pytest
 
 from bihomcheck.dsl import print_identity
+from bihomcheck.errors import ArityMismatch
 from bihomcheck.engine import FIXED_EXPONENTS, ExponentTuple, instantiate_power_identity
 from bihomcheck.structures import (
+    commute_identity,
     derivation_identity,
     multiplicativity_identity,
     nary_skew_identity,
@@ -102,3 +104,24 @@ def test_generated_law_texts(arity):
         nary_transposed_compat_identity("nbr", arity),
     ]
     assert [print_identity(law) for law in laws] == GENERATED_TEXTS[arity]
+
+
+def test_commute_law_text():
+    assert print_identity(commute_identity("a", "b")) == "forall x: a(b(x)) - b(a(x)) = 0"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: multiplicativity_identity("a", "nbr", 1),
+        lambda: derivation_identity("D", "nbr", 1),
+        lambda: nary_skew_identity("nbr", 1, 0),
+        lambda: nary_transposed_compat_identity("nbr", 1),
+    ],
+    ids=["multiplicativity", "derivation", "nary-skew", "nary-compat"],
+)
+def test_generated_laws_refuse_arity_one(build):
+    """In .idl text nbr(x) is a map application, so a law over a unary op
+    can not be written; the builders refuse rather than misread it."""
+    with pytest.raises(ArityMismatch, match="'nbr' has arity 1"):
+        build()

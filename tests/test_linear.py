@@ -13,13 +13,13 @@ from bihomcheck.linear import (
     LinMap,
     MultiOp,
     Vector,
-    check_commute,
-    map_power,
     tensor_map,
     tensor_space,
     twist_op,
 )
+from bihomcheck.engine import check_identity
 from bihomcheck.scalars import Scalar, parse_scalar
+from bihomcheck.structures import commute_identity
 
 from oracles import naive_apply, rational_constants
 
@@ -115,30 +115,30 @@ class TestApply:
 
 class TestMapPower:
     def test_unipotent_inverse(self, entry26):
-        a_inv = map_power(entry26.maps["a"], -1)
+        a_inv = entry26.maps["a"].power(-1)
         rows = [[c.text() for c in row] for row in a_inv.rows]
         assert rows == [["1", "0"], ["-k2", "1"]]
 
     def test_zeroth_power_is_identity(self, entry26):
         ident = LinMap.identity(entry26.space, P)
-        assert map_power(entry26.maps["b"], 0) == ident
+        assert entry26.maps["b"].power(0) == ident
 
     def test_singular_map_not_invertible(self):
         # nilpotent: e1 -> e2 -> 0
         sp = BasisSpace(["e1", "e2"])
         m = LinMap(sp, P, [[S(0), S(0)], [S(1), S(0)]])
         with pytest.raises(NotInvertible):
-            map_power(m, -1)
+            m.power(-1)
         assert m.det().is_zero()
 
     def test_power_addition(self, entry26):
         b = entry26.maps["b"]
         for i, j in [(2, 3), (0, 4), (-1, 3), (-2, -1)]:
-            assert map_power(b, i).compose(map_power(b, j)) == map_power(b, i + j)
+            assert b.power(i).compose(b.power(j)) == b.power(i + j)
 
     def test_inverse_exact(self, entry26):
         b = entry26.maps["b"]
-        assert b.compose(map_power(b, -1)) == LinMap.identity(entry26.space, P)
+        assert b.compose(b.power(-1)) == LinMap.identity(entry26.space, P)
 
     def test_symbolic_generic_inverse(self):
         # invertible over the fraction field although entries vanish at k1=0
@@ -174,9 +174,11 @@ class TestTwist:
 
 
 class TestCommute:
+    """Map commutation is decided as the law m1(m2(x)) = m2(m1(x))."""
+
     def test_entry26_maps_commute(self, entry26):
-        res = check_commute(entry26.maps["a"], entry26.maps["b"])
-        assert res.ok
+        res = check_identity(commute_identity("a", "b"), entry26)
+        assert res.passed
         prod = entry26.maps["a"].compose(entry26.maps["b"])
         assert [[c.text() for c in row] for row in prod.rows] == [
             ["1", "0"],
@@ -185,16 +187,17 @@ class TestCommute:
 
     def test_identity_commutes(self, entry26):
         ident = LinMap.identity(entry26.space, P)
-        assert check_commute(entry26.maps["a"], ident).ok
+        bundle = entry26.replace(maps={**entry26.maps, "id": ident})
+        assert check_identity(commute_identity("a", "id"), bundle).passed
 
     def test_noncommuting_pair_reports_residual(self):
         from bihomcheck.catalog import get_entry
 
         e1 = get_entry(1).bundle
-        res = check_commute(e1.maps["a"], e1.maps["b"])
-        assert not res.ok
-        assert res.index == 0
-        assert [c.text() for c in res.residual.coords] == ["0", "k1 - k2"]
+        res = check_identity(commute_identity("a", "b"), e1)
+        assert not res.passed
+        assert res.counterexample.basis_tuple == (0,)
+        assert list(res.counterexample.residual) == ["0", "k1 - k2"]
 
 
 class TestTensor:

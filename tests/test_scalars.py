@@ -16,7 +16,7 @@ from bihomcheck.errors import (
     ScalarSyntaxError,
     UnknownParameter,
 )
-from bihomcheck.scalars import Poly, Scalar, parse_scalar, print_scalar
+from bihomcheck.scalars import Poly, Scalar, parse_scalar
 
 P = ("k1", "k2")
 
@@ -183,11 +183,11 @@ def test_print_parse_fixed_point(a, b):
         s = a / b if not b.is_zero() else a
     except DivisionByZero:  # pragma: no cover - guarded above
         s = a
-    text = print_scalar(s)
+    text = s.text()
     again = parse_scalar(text, P)
     assert again == s
     # canonical form: printing once more is a fixed point
-    assert print_scalar(again) == text
+    assert again.text() == text
 
 
 def test_printing_examples():
