@@ -66,6 +66,30 @@ def test_arity_mismatch():
         check_identity(parse_identity("forall x,y,z: mul(x, y, z) = 0"), bundle)
 
 
+@pytest.mark.parametrize(
+    "text, first",
+    [
+        ("forall x,y: a^-1(mul(x, y)) = 0", None),
+        ("forall x,y: mul(a^-1(x), y) = 0", "mul"),
+        ("forall x,y: br(c(x), d(y)) = 0", "c"),
+    ],
+)
+def test_bind_resolves_names_in_first_use_order(text, first):
+    """Binding meets map powers and ops in pre-order of first use, so the
+    first name that can not be resolved decides the error; a singular map
+    met before an unknown op makes the verdict inapplicable."""
+    bundle = make_bundle(
+        ["e1", "e2"], (), {"br": (2, {})}, {"a": [["1", "0"], ["0", "0"]]}
+    )
+    ident = parse_identity(text)
+    if first is None:
+        assert check_identity(ident, bundle).status == "inapplicable"
+        return
+    with pytest.raises(UnknownName) as info:
+        check_identity(ident, bundle)
+    assert info.value.name == first
+
+
 def test_sampled_leibniz_counterexample(entry26):
     v = check_identity_sampled(
         IDENTITIES["leibniz"], entry26, [{"k1": 3, "k2": 5}], "leibniz"

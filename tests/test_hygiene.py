@@ -1,10 +1,14 @@
-"""Source hygiene of the package: every imported name is used, and only the
-DSL module builds identity trees; everything else states a law as .idl text."""
+"""Source hygiene of the package: every imported name is used, only the DSL
+module builds identity trees (everything else states a law as .idl text), and
+every method the benchmark tracer patches still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +77,20 @@ def test_laws_are_written_as_text(path):
 def test_scan_sees_a_tree_construction():
     source = "x = OpApply('mul', (Var('x'), Var('y')))\nok = isinstance(x, OpApply)\n"
     assert ast_constructions(source) == ["OpApply (line 1)", "Var (line 1)", "Var (line 1)"]
+
+
+def tracer_methods():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.METHODS
+
+
+@pytest.mark.parametrize("target", tracer_methods(), ids=".".join)
+def test_tracer_targets_exist(target):
+    """`perfbench/run.py --trace 1` wraps these class attributes by name; a
+    rename would break the traced benchmark without failing any other test."""
+    module_name, class_name, method = target
+    module = importlib.import_module(f"bihomcheck.{module_name}")
+    assert callable(getattr(getattr(module, class_name), method))
