@@ -138,7 +138,7 @@ def _commassoc_hypotheses(hyp, bundle, d_name, a_name, b_name):
         bundle,
         f"map {d_name!r} is not a derivation of the product",
     )
-    for m1, m2 in itertools.combinations({a_name, b_name, d_name}, 2):
+    for m1, m2 in itertools.combinations(dict.fromkeys((a_name, b_name, d_name)), 2):
         hyp.check_commute(bundle, m1, m2)
     return mul0
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import bihomcheck
 from bihomcheck.cli import cli_main
 from bihomcheck.errors import BundleFormatError
 from bihomcheck.fileio import (
@@ -452,3 +456,35 @@ class TestCli:
         data = json.loads(text)
         ids = [v["identity"] for v in data["verdicts"]]
         assert ids == sorted(ids)
+
+
+def test_construct_bytes_do_not_depend_on_hash_seed(tmp_path):
+    """The hypothesis warnings of derivation-tbp go into the written bundle,
+    so they must come out in one order under every PYTHONHASHSEED. Here no
+    two of a, b and D commute, so three commutation warnings are recorded."""
+    from bihomcheck.construct import truncated_polynomial_algebra
+    from bihomcheck.linear import LinMap
+    from bihomcheck.scalars import Scalar
+
+    qt = truncated_polynomial_algebra(("t",), 3)
+
+    def matrix(rows):
+        return LinMap(qt.space, (), [[Scalar.rational(c) for c in row] for row in rows])
+
+    a = matrix([[1, 1, 0], [0, 2, 0], [0, 0, 4]])
+    b = matrix([[1, 0, 0], [1, 3, 0], [0, 1, 9]])
+    src = tmp_path / "qt3.bundle"
+    save_bundle(qt.replace(maps={**qt.maps, "a": a, "b": b}), src)
+    env = dict(os.environ, PYTHONPATH=str(Path(bihomcheck.__file__).parents[1]))
+    outputs = set()
+    for seed in range(4):
+        out = tmp_path / f"out{seed}.bundle"
+        subprocess.run(
+            [sys.executable, "-m", "bihomcheck.cli", "construct", "derivation-tbp",
+             str(src), "-o", str(out), "--allow-hypothesis-failures"],
+            env={**env, "PYTHONHASHSEED": str(seed)},
+            check=True,
+            capture_output=True,
+        )
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
