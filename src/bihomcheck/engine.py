@@ -13,28 +13,29 @@ internal evaluation strategy. Negative map powers are resolved when an
 identity is bound to a bundle; a singular map makes the verdict inapplicable
 rather than pass/fail.
 
-The walk runs on a compiled form of the bound identity, built once per
-check_identity call. Every monomial (after cyc expansion) is hash-consed
-into one DAG, so a subterm shared by several monomials, such as b(x) or the
-inner tbr(b(x), b(y), a(z)) of tjacobi, is one node; identical monomials
-merge into one term with the summed coefficient. A chain of maps over a
-variable is a column lookup in its pre-powered matrix. Every other node that
-leaves out at least one variable is memoized by the basis indices of the
-variables it contains; a node over every variable is evaluated afresh,
-because no later tuple can reuse it. The memo tables live for that one call.
-Values are plain coordinate tuples fed to the private kernels behind
+An identity is compiled once, independent of any bundle, into a plan
+(_plan, cached on the frozen Identity): the cyc-expanded monomials are
+hash-consed into steps, so a subterm shared by several monomials, such as
+b(x) or the inner tbr(b(x), b(y), a(z)) of tjacobi, is one step, and
+identical monomials merge into one term with the summed coefficient.
+BoundIdentity binds the plan to a bundle. It resolves the map powers and ops
+in pre-order of first use, so the first bad name decides the error, and
+makes each step an evaluator of basis tuples: a chain of maps over a
+variable is a column lookup in its pre-powered matrix, and every other step
+that leaves out a variable is memoized by the basis indices of its
+variables. Values are coordinate tuples fed to the private kernels behind
 LinMap.apply and MultiOp.apply.
 
-The compiled sum is exact, so it decides zero/nonzero exactly, but it adds
-terms in another order than BoundIdentity.eval_at. Polynomial fractions are
-never gcd-reduced, so another order can print another numerator/denominator
-pair for the same value; the residual of the reported counterexample is
-therefore recomputed by the reference walk, eval_at, which keeps report
-bytes independent of the evaluation strategy.
+The merged sum decides zero/nonzero exactly. The residual of the reported
+counterexample is summed again from the same step values, monomial by
+monomial in expand_identity order with Vector arithmetic: polynomial
+fractions are never gcd-reduced, so another order could print another
+numerator/denominator pair for the same value.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bundle import AlgebraBundle
-from .dsl import Identity, MapApply, Node, OpApply, Var, expand_identity, parse_identity
+from .dsl import Identity, MapApply, Var, expand_identity, parse_identity
 from .errors import (
     ArityMismatch,
     ConstraintViolated,
@@ -87,135 +88,118 @@ class Verdict:
         return out
 
 
+@functools.cache
+def _plan(ident: Identity) -> tuple:
+    """The bundle-independent compiled form of an identity, (names, steps,
+    terms, monomials). This is the engine's only walk over DSL trees.
+
+    names: ("map", name, power) and ("op", name, arity) keys in pre-order of
+    first use, the order in which binding resolves them. steps: (key,
+    children, positions), one per distinct subterm of the cyc-expanded
+    monomials, children first; key is None for a variable, and positions
+    are the sorted indices (in the forall list) of the variables the step
+    reads. terms: (coeff, step) with the coefficients of identical monomials
+    summed and zero sums dropped. monomials: (coeff, step) for every
+    monomial, in expand_identity order."""
+    position = {name: i for i, name in enumerate(ident.vars)}
+    names: dict = {}
+    steps: list = []
+    index: dict = {}  # node -> step
+
+    def step(node) -> int:
+        if node in index:
+            return index[node]
+        if isinstance(node, Var):
+            out = (None, (), (position[node.name],))
+        else:
+            if isinstance(node, MapApply):
+                key, children = ("map", node.map_name, node.power), (node.child,)
+            else:
+                key, children = ("op", node.op_name, len(node.children)), node.children
+            names.setdefault(key)
+            children = tuple(step(c) for c in children)
+            out = (key, children, tuple(sorted({i for c in children for i in steps[c][2]})))
+        index[node] = len(steps)
+        steps.append(out)
+        return index[node]
+
+    monomials = tuple((coeff, step(node)) for coeff, node in expand_identity(ident))
+    coeffs: dict = {}
+    for coeff, s in monomials:
+        coeffs[s] = coeffs.get(s, 0) + coeff
+    terms = tuple((coeff, s) for s, coeff in coeffs.items() if coeff)
+    return tuple(names), tuple(steps), terms, monomials
+
+
+def _memoized(fn, positions):
+    key_of = operator.itemgetter(*positions)
+    memo: dict = {}
+
+    def get(tup):
+        key = key_of(tup)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(tup)
+        return value
+
+    return get
+
+
 class BoundIdentity:
-    """An identity with every name resolved against one bundle: ops looked
-    up, map powers turned into matrices, cyclic sums expanded."""
+    """An identity's plan bound to one bundle: every map power turned into a
+    matrix, every op looked up, and one evaluator per plan step that maps a
+    basis tuple to the coordinate tuple of the step's value."""
 
     def __init__(self, ident: Identity, bundle: AlgebraBundle):
-        self.ident = ident
-        self.bundle = bundle
-        self.monomials = expand_identity(ident)
-        self._matrices: dict = {}
-        self._ops: dict = {}
-        for coeff, node in self.monomials:
-            self._bind(node)
-
-    def _bind(self, node: Node):
-        if isinstance(node, Var):
-            if node.name not in self.ident.vars:
-                raise UnknownName(node.name, "variable not declared")
-            return
-        if isinstance(node, MapApply):
-            key = (node.map_name, node.power)
-            if key not in self._matrices:
-                m = self.bundle.maps.get(node.map_name)
+        names, steps, terms, self.monomials = _plan(ident)
+        resolved = {}
+        for key in names:
+            kind, name, n = key
+            if kind == "map":
+                m = bundle.maps.get(name)
                 if m is None:
-                    raise UnknownName(node.map_name, "no such map in the bundle")
-                self._matrices[key] = m.power(node.power)
-            self._bind(node.child)
-            return
-        if isinstance(node, OpApply):
-            op = self.bundle.ops.get(node.op_name)
-            if op is None:
-                raise UnknownName(node.op_name, "no such operation in the bundle")
-            if op.arity != len(node.children):
-                raise ArityMismatch(
-                    f"{node.op_name!r} has arity {op.arity}, called with {len(node.children)}"
-                )
-            self._ops[node.op_name] = op
-            for c in node.children:
-                self._bind(c)
-            return
-        raise TypeError(f"unexpected node {node!r}")
-
-    def eval_monomial(self, node: Node, assignment: Mapping[str, Vector]) -> Vector:
-        if isinstance(node, Var):
-            return assignment[node.name]
-        if isinstance(node, MapApply):
-            child = self.eval_monomial(node.child, assignment)
-            return self._matrices[(node.map_name, node.power)].apply(child)
-        if isinstance(node, OpApply):
-            args = [self.eval_monomial(c, assignment) for c in node.children]
-            return self._ops[node.op_name].apply(args)
-        raise TypeError(f"unexpected node {node!r}")
-
-    def eval_at(self, assignment: Mapping[str, Vector]) -> Vector:
-        total = Vector.zero(self.bundle.space, self.bundle.ring.params)
-        for coeff, node in self.monomials:
-            value = self.eval_monomial(node, assignment)
-            total = total + value.scale(coeff)
-        return total
-
-
-def _compile(bound: BoundIdentity) -> list:
-    """The bound identity as [(coeff, coeff as a Scalar, evaluator)], one
-    term per distinct monomial; an evaluator maps a basis tuple to the
-    coordinate tuple of its monomial's value."""
-    names = bound.ident.vars
-    position = {name: i for i, name in enumerate(names)}
-    params = bound.bundle.ring.params
-    dim = bound.bundle.space.dim
-    zero, one = Scalar.zero(params), Scalar.one(params)
-    units = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
-    # node -> (sorted variable positions, evaluator, columns or None);
-    # columns[j] is the value of a variable-only chain at basis vector j
-    nodes: dict = {}
-
-    def lookup(columns, i):
-        return lambda tup: columns[tup[i]]
-
-    def memoized(fn, positions):
-        if len(positions) == len(names):
-            return fn
-        key_of = operator.itemgetter(*positions)
-        memo: dict = {}
-
-        def get(tup):
-            key = key_of(tup)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = fn(tup)
-            return value
-
-        return get
-
-    def build(node):
-        hit = nodes.get(node)
-        if hit is not None:
-            return hit
-        if isinstance(node, Var):
-            i = position[node.name]
-            out = ((i,), lookup(units, i), units)
-        elif isinstance(node, MapApply):
-            matrix = bound._matrices[(node.map_name, node.power)]
-            positions, child, columns = build(node.child)
-            if columns is None:
-                apply = matrix._apply
-                out = (positions, memoized(lambda tup: apply(child(tup)), positions), None)
+                    raise UnknownName(name, "no such map in the bundle")
+                resolved[key] = m.power(n)
             else:
-                if isinstance(node.child, Var):
-                    columns = list(zip(*matrix.rows))
+                op = bundle.ops.get(name)
+                if op is None:
+                    raise UnknownName(name, "no such operation in the bundle")
+                if op.arity != n:
+                    raise ArityMismatch(f"{name!r} has arity {op.arity}, called with {n}")
+                resolved[key] = op
+        params = bundle.ring.params
+        dim = bundle.space.dim
+        zero, one = Scalar.zero(params), Scalar.one(params)
+        units = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
+        # columns[s][j] is the value of step s at basis vector j when step s
+        # is a chain of maps over one variable, else None
+        columns: list = []
+        self.steps: list = []
+        for key, children, positions in steps:
+            cols = None
+            if key is None:
+                cols = units
+            elif key[0] == "map" and columns[children[0]] is not None:
+                matrix, child = resolved[key], children[0]
+                if steps[child][0] is None:
+                    cols = list(zip(*matrix.rows))
                 else:
-                    columns = [matrix._apply(c) for c in columns]
-                out = (positions, lookup(columns, positions[0]), columns)
-        else:
-            apply = bound._ops[node.op_name]._apply
-            built = [build(c) for c in node.children]
-            positions = tuple(sorted({i for p, _, _ in built for i in p}))
-            children = [fn for _, fn, _ in built]
-            fn = lambda tup: apply([child(tup) for child in children])
-            out = (positions, memoized(fn, positions), None)
-        nodes[node] = out
-        return out
-
-    coeffs: dict = {}
-    for coeff, node in bound.monomials:
-        coeffs[node] = coeffs.get(node, 0) + coeff
-    return [
-        (coeff, Scalar.rational(coeff, params), build(node)[1])
-        for node, coeff in coeffs.items()
-        if coeff
-    ]
+                    cols = [matrix._apply(c) for c in columns[child]]
+            if cols is not None:
+                fn = lambda tup, cols=cols, i=positions[0]: cols[tup[i]]
+            else:
+                apply, args = resolved[key]._apply, [self.steps[c] for c in children]
+                if key[0] == "map":
+                    fn = lambda tup, apply=apply, arg=args[0]: apply(arg(tup))
+                else:
+                    fn = lambda tup, apply=apply, args=args: apply([a(tup) for a in args])
+                if len(positions) < len(ident.vars):
+                    fn = _memoized(fn, positions)
+            columns.append(cols)
+            self.steps.append(fn)
+        self.terms = [
+            (coeff, Scalar.rational(coeff, params), self.steps[s]) for coeff, s in terms
+        ]
 
 
 def _residual_is_zero(terms: list, tup: tuple, zeros: list) -> bool:
@@ -242,16 +226,14 @@ def check_identity(
         bound = BoundIdentity(ident, bundle)
     except NotInvertible as exc:
         return Verdict(identity_id, "inapplicable", f"non-invertible map: {exc}")
-    dim = bundle.space.dim
-    params = bundle.ring.params
-    names = bound.ident.vars
-    terms = _compile(bound)
-    zeros = [Scalar.zero(params)] * dim
-    for tup in itertools.product(range(dim), repeat=len(names)):
-        if _residual_is_zero(terms, tup, zeros):
+    space, params = bundle.space, bundle.ring.params
+    zeros = [Scalar.zero(params)] * space.dim
+    for tup in itertools.product(range(space.dim), repeat=len(ident.vars)):
+        if _residual_is_zero(bound.terms, tup, zeros):
             continue
-        basis = [Vector.basis(bundle.space, i, params) for i in range(dim)]
-        residual = bound.eval_at({name: basis[i] for name, i in zip(names, tup)})
+        residual = Vector.zero(space, params)
+        for coeff, s in bound.monomials:
+            residual = residual + Vector(space, params, bound.steps[s](tup)).scale(coeff)
         return Verdict(
             identity_id,
             "fail",

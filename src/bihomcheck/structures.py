@@ -18,6 +18,7 @@ described honestly instead of collapsing into a single verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -277,7 +278,8 @@ def _call(name: str, args) -> str:
     return f"{name}({', '.join(args)})"
 
 
-def _law(names, lhs: str) -> Identity:
+@functools.cache
+def _law(names: tuple, lhs: str) -> Identity:
     return parse_identity(f"forall {','.join(names)}: {lhs} = 0")
 
 

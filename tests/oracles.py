@@ -1,10 +1,20 @@
-"""Independent brute-force oracles, deliberately sharing no code with the
-library's evaluator: plain Fractions, plain nested loops."""
+"""Brute-force oracles.
+
+The classical-law oracles share no code with the library: plain Fractions,
+plain nested loops. reference_eval is the plain recursive walk over an
+identity's monomials that the engine's compiled walk is compared against; it
+reuses LinMap, MultiOp and Vector, and adds the monomials in the same order
+as the engine's residual, so the residual texts of the two must be equal
+(polynomial fractions are not gcd-reduced, so another order could print
+another numerator/denominator pair)."""
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from bihomcheck.dsl import MapApply, Var, expand_identity
+from bihomcheck.linear import Vector
 
 
 def naive_apply(constants, arity, dim, args):
@@ -98,3 +108,32 @@ def rational_constants(op):
     return {
         idx: [c.eval({}) for c in vec] for idx, vec in op.constants.items()
     }
+
+
+_powers: dict = {}  # (id(map), k) -> (map, map^k); holding the map keeps its id unique
+
+
+def _power(m, k):
+    key = (id(m), k)
+    if key not in _powers:
+        _powers[key] = (m, m.power(k))
+    return _powers[key][1]
+
+
+def reference_eval(ident, bundle, assignment):
+    """The value of the identity's left-hand side at an assignment of
+    vectors to its variables: every cyc-expanded monomial evaluated by
+    recursion, scaled by its coefficient and added in expansion order.
+    Raises NotInvertible when a negative power of a singular map occurs."""
+
+    def value(node):
+        if isinstance(node, Var):
+            return assignment[node.name]
+        if isinstance(node, MapApply):
+            return _power(bundle.maps[node.map_name], node.power).apply(value(node.child))
+        return bundle.ops[node.op_name].apply([value(c) for c in node.children])
+
+    total = Vector.zero(bundle.space, bundle.ring.params)
+    for coeff, node in expand_identity(ident):
+        total = total + value(node).scale(coeff)
+    return total

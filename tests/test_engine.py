@@ -12,7 +12,6 @@ import pytest
 from bihomcheck.catalog import entries, get_entry
 from bihomcheck.dsl import MapApply, OpApply, Var, parse_identity, print_identity
 from bihomcheck.engine import (
-    BoundIdentity,
     Counterexample,
     ExponentTuple,
     FIXED_EXPONENTS,
@@ -34,6 +33,7 @@ from bihomcheck.scalars import Scalar
 from bihomcheck.structures import IDENTITIES, REGISTRY, SUITES
 
 from conftest import make_bundle
+from oracles import reference_eval
 
 
 def test_skew_passes_on_completed_bundle(entry26):
@@ -120,7 +120,6 @@ def test_basis_sufficiency(entry26):
     vectors too (this is exactly what linearity buys)."""
     rng = random.Random(99)
     for identity_id in ("skew", "jacobi", "tcompat", "comm"):
-        bound = BoundIdentity(IDENTITIES[identity_id], entry26)
         assert check_identity(IDENTITIES[identity_id], entry26).passed
         for _ in range(25):
             assignment = {
@@ -131,32 +130,34 @@ def test_basis_sufficiency(entry26):
                 )
                 for name in IDENTITIES[identity_id].vars
             }
-            assert bound.eval_at(assignment).is_zero()
+            assert reference_eval(IDENTITIES[identity_id], entry26, assignment).is_zero()
 
 
 def test_counterexample_is_lex_minimal(entry26_zero_forced):
     ident = IDENTITIES["skew"]
     verdict = check_identity(ident, entry26_zero_forced)
-    bound = BoundIdentity(ident, entry26_zero_forced)
     basis = [Vector.basis(entry26_zero_forced.space, i, entry26_zero_forced.ring.params) for i in range(2)]
     failures = []
     for tup in itertools.product(range(2), repeat=2):
-        value = bound.eval_at({n: basis[i] for n, i in zip(ident.vars, tup)})
+        value = reference_eval(
+            ident, entry26_zero_forced, {n: basis[i] for n, i in zip(ident.vars, tup)}
+        )
         if not value.is_zero():
             failures.append(tup)
     assert failures and min(failures) == verdict.counterexample.basis_tuple
 
 
 def reference_verdict(ident, bundle, identity_id):
-    """The plain lex walk over BoundIdentity.eval_at, with no compilation."""
-    try:
-        bound = BoundIdentity(ident, bundle)
-    except NotInvertible:
-        return Verdict(identity_id, "inapplicable")
+    """The plain lex walk over reference_eval, with no compilation."""
     params = bundle.ring.params
     basis = [Vector.basis(bundle.space, i, params) for i in range(bundle.space.dim)]
     for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
-        residual = bound.eval_at({n: basis[i] for n, i in zip(ident.vars, tup)})
+        try:
+            residual = reference_eval(
+                ident, bundle, {n: basis[i] for n, i in zip(ident.vars, tup)}
+            )
+        except NotInvertible:
+            return Verdict(identity_id, "inapplicable")
         if not residual.is_zero():
             texts = tuple(c.text() for c in residual.coords)
             return Verdict(identity_id, "fail", counterexample=Counterexample(tup, texts))
