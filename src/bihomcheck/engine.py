@@ -174,7 +174,7 @@ class BoundIdentity:
         # columns[s][j] is the value of step s at basis vector j when step s
         # is a chain of maps over one variable, else None
         columns: list = []
-        self.steps: list = []
+        self.evaluators: list = []
         for key, children, positions in steps:
             cols = None
             if key is None:
@@ -188,7 +188,7 @@ class BoundIdentity:
             if cols is not None:
                 fn = lambda tup, cols=cols, i=positions[0]: cols[tup[i]]
             else:
-                apply, args = resolved[key]._apply, [self.steps[c] for c in children]
+                apply, args = resolved[key]._apply, [self.evaluators[c] for c in children]
                 if key[0] == "map":
                     fn = lambda tup, apply=apply, arg=args[0]: apply(arg(tup))
                 else:
@@ -196,9 +196,9 @@ class BoundIdentity:
                 if len(positions) < len(ident.vars):
                     fn = _memoized(fn, positions)
             columns.append(cols)
-            self.steps.append(fn)
+            self.evaluators.append(fn)
         self.terms = [
-            (coeff, Scalar.rational(coeff, params), self.steps[s]) for coeff, s in terms
+            (coeff, Scalar.rational(coeff, params), self.evaluators[s]) for coeff, s in terms
         ]
 
 
@@ -233,7 +233,7 @@ def check_identity(
             continue
         residual = Vector.zero(space, params)
         for coeff, s in bound.monomials:
-            residual = residual + Vector(space, params, bound.steps[s](tup)).scale(coeff)
+            residual = residual + Vector(space, params, bound.evaluators[s](tup)).scale(coeff)
         return Verdict(
             identity_id,
             "fail",
