@@ -67,16 +67,18 @@ class CatalogEntry:
 
     def completed_bundle(self) -> AlgebraBundle:
         """Given constants plus the stored completion (zero-forced when the
-        completion is null)."""
-        if not self.completion:
-            return self.bundle
-        br = self.bundle.ops["br"]
-        constants = dict(br.constants)
-        for slot, coords in self.completion.items():
-            constants[slot] = coords
-        ops = dict(self.bundle.ops)
-        ops["br"] = MultiOp(br.space, br.params, 2, constants)
-        return self.bundle.replace(ops=ops)
+        completion is null). Its maps and ops are new objects on every call:
+        they cache their powers and cleared forms, and verifying an entry
+        must do the same work however often it was verified before."""
+        ops = {
+            name: MultiOp(op.space, op.params, op.arity, op.constants)
+            for name, op in self.bundle.ops.items()
+        }
+        if self.completion:
+            br = ops["br"]
+            ops["br"] = MultiOp(br.space, br.params, 2, {**br.constants, **self.completion})
+        maps = {name: LinMap(m.space, m.params, m.rows) for name, m in self.bundle.maps.items()}
+        return self.bundle.replace(ops=ops, maps=maps)
 
     def branch_bundles(self):
         """(description, bundle) per constraint branch; symbolic verification

@@ -23,20 +23,33 @@ in pre-order of first use, so the first bad name decides the error, and
 makes each step an evaluator of basis tuples: a chain of maps over a
 variable is a column lookup in its pre-powered matrix, and every other step
 that leaves out a variable is memoized by the basis indices of its
-variables. Values are coordinate tuples fed to the private kernels behind
-LinMap.apply and MultiOp.apply.
+variables.
 
-The merged sum decides zero/nonzero exactly. The residual of the reported
-counterexample is summed again from the same step values, monomial by
-monomial in expand_identity order with Vector arithmetic: polynomial
-fractions are never gcd-reduced, so another order could print another
-numerator/denominator pair for the same value.
+A step's value is a sparse {coord: coeff} dict, fed to the kernels behind
+LinMap.apply and MultiOp.apply. On a bundle without parameters the
+coefficients are Python ints: each op's constants and each map power's
+matrix are cleared once to integers over the lcm of their denominators
+(linear's `cleared`), and a step carries the integer denominator D_s of its
+values: 1 for a variable, d_M * D_child for a map, d_O * the product of
+D_children for an op. The merged sum, multiplied by the lcm L of the step
+denominators, has the integer weights coeff * L / D_s, so the zero test is
+exact integer arithmetic. Over Q(params) the coefficients are Scalars, every
+D_s is 1 and the same kernels run. Over Q, Scalar appears only at the
+boundary: in the bundle's data and in the residual.
+
+The residual of the reported counterexample is summed again from the same
+step values, monomial by monomial in expand_identity order with Vector
+arithmetic, each integer coordinate becoming the rational c / D_s:
+polynomial fractions are never gcd-reduced, so another order could print
+another numerator/denominator pair for the same value (reduced rationals
+print the same in any order).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,7 +161,8 @@ def _memoized(fn, positions):
 class BoundIdentity:
     """An identity's plan bound to one bundle: every map power turned into a
     matrix, every op looked up, and one evaluator per plan step that maps a
-    basis tuple to the coordinate tuple of the step's value."""
+    basis tuple to the step's value, a sparse {coord: coeff} dict over the
+    step's denominator (see the module docstring)."""
 
     def __init__(self, ident: Identity, bundle: AlgebraBundle):
         names, steps, terms, self.monomials = _plan(ident)
@@ -167,24 +181,27 @@ class BoundIdentity:
                 if op.arity != n:
                     raise ArityMismatch(f"{name!r} has arity {op.arity}, called with {n}")
                 resolved[key] = op
-        params = bundle.ring.params
-        dim = bundle.space.dim
-        zero, one = Scalar.zero(params), Scalar.one(params)
-        units = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
+        self.space, self.params = bundle.space, bundle.ring.params
+        one = Scalar.one(self.params) if self.params else 1
+        units = [{j: one} for j in range(self.space.dim)]
         # columns[s][j] is the value of step s at basis vector j when step s
         # is a chain of maps over one variable, else None
         columns: list = []
+        self.denominators: list = []
         self.evaluators: list = []
         for key, children, positions in steps:
-            cols = None
+            cols, den = None, 1
             if key is None:
                 cols = units
-            elif key[0] == "map" and columns[children[0]] is not None:
-                matrix, child = resolved[key], children[0]
-                if steps[child][0] is None:
-                    cols = list(zip(*matrix.rows))
-                else:
-                    cols = [matrix._apply(c) for c in columns[child]]
+            else:
+                d, data = resolved[key].cleared()
+                den = math.prod((self.denominators[c] for c in children), start=d)
+                if key[0] == "map" and columns[children[0]] is not None:
+                    matrix, child = resolved[key], children[0]
+                    if steps[child][0] is None:
+                        cols = data
+                    else:
+                        cols = [matrix._apply(c) for c in columns[child]]
             if cols is not None:
                 fn = lambda tup, cols=cols, i=positions[0]: cols[tup[i]]
             else:
@@ -196,25 +213,30 @@ class BoundIdentity:
                 if len(positions) < len(ident.vars):
                     fn = _memoized(fn, positions)
             columns.append(cols)
+            self.denominators.append(den)
             self.evaluators.append(fn)
+        # the merged sum times the lcm of the step denominators has integer
+        # weights, so integer step values are compared without division
+        scale = math.lcm(*(self.denominators[s] for _, s in terms))
         self.terms = [
-            (coeff, Scalar.rational(coeff, params), self.evaluators[s]) for coeff, s in terms
+            (coeff * (scale // self.denominators[s]), self.evaluators[s]) for coeff, s in terms
         ]
 
+    def value(self, s: int, tup: tuple) -> Vector:
+        """The value of step s at a basis tuple."""
+        values = self.evaluators[s](tup)
+        return Vector.from_values(self.space, self.params, values, self.denominators[s])
 
-def _residual_is_zero(terms: list, tup: tuple, zeros: list) -> bool:
-    acc = list(zeros)
-    for coeff, scalar, fn in terms:
-        for k, c in enumerate(fn(tup)):
-            if c.is_zero():
-                continue
-            if coeff == 1:
-                acc[k] = acc[k] + c
-            elif coeff == -1:
-                acc[k] = acc[k] - c
-            else:
-                acc[k] = acc[k] + scalar * c
-    return all(c.is_zero() for c in acc)
+
+def _residual_is_zero(terms: list, tup: tuple) -> bool:
+    acc: dict = {}
+    for weight, fn in terms:
+        for k, c in fn(tup).items():
+            if weight != 1:
+                c = -c if weight == -1 else weight * c
+            prev = acc.get(k)
+            acc[k] = c if prev is None else prev + c
+    return not any(acc.values())
 
 
 def check_identity(
@@ -227,13 +249,12 @@ def check_identity(
     except NotInvertible as exc:
         return Verdict(identity_id, "inapplicable", f"non-invertible map: {exc}")
     space, params = bundle.space, bundle.ring.params
-    zeros = [Scalar.zero(params)] * space.dim
     for tup in itertools.product(range(space.dim), repeat=len(ident.vars)):
-        if _residual_is_zero(bound.terms, tup, zeros):
+        if _residual_is_zero(bound.terms, tup):
             continue
         residual = Vector.zero(space, params)
         for coeff, s in bound.monomials:
-            residual = residual + Vector(space, params, bound.evaluators[s](tup)).scale(coeff)
+            residual = residual + bound.value(s, tup).scale(coeff)
         return Verdict(
             identity_id,
             "fail",

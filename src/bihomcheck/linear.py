@@ -6,16 +6,27 @@ Conventions (fixed once, used everywhere):
     coefficient of e_i in the image of e_j and composition reads right to left;
   * structure constants are sparse: a basis tuple absent from MultiOp.constants
     means the operation vanishes there;
+  * the kernels behind LinMap.apply and MultiOp.apply work on sparse values
+    {coordinate: coefficient} with ascending keys and no zero coefficients.
+    Over Q the coefficients are Python ints over a denominator: `cleared()`
+    turns a Vector, a matrix or an op's constants into integers over the lcm
+    d of their denominators, and a kernel's result is the image times the
+    product of the denominators involved. Over Q(params) the coefficients are
+    the Scalars themselves and every denominator is 1. Within each output
+    coordinate the kernels add their terms in the order of the dense loops
+    they replace, so unreduced polynomial fractions print as before;
   * tensor bases are ordered row-major (left factor outer), labels joined
     with a literal "⊗".
 
-Everything is immutable after construction and safe to share.
+Everything is immutable after construction and safe to share, so a map's
+powers and the cleared forms of maps and ops are computed once per object.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import ArityMismatch, NotInvertible, RingMismatch, SpaceMismatch
@@ -53,6 +64,16 @@ def _same_space(a, b):
         raise RingMismatch(f"{a.params} vs {b.params}")
 
 
+def _clearing(params: tuple, scalars) -> tuple:
+    """(d, clear) for a family of nonzero Scalars: over Q, d is the lcm of
+    their denominators and clear(c) the integer d*c; over Q(params), d is 1
+    and clear keeps the Scalar."""
+    if params:
+        return 1, lambda c: c
+    d = lcm(1, *(c.rat.denominator for c in scalars))
+    return d, lambda c: c.rat.numerator * (d // c.rat.denominator)
+
+
 class Vector:
     __slots__ = ("space", "params", "coords")
 
@@ -73,6 +94,19 @@ class Vector:
         coords = [Scalar.zero(params)] * space.dim
         coords[i] = Scalar.one(params)
         return cls(space, params, coords)
+
+    @classmethod
+    def from_values(cls, space: BasisSpace, params: tuple, values: dict, d: int) -> "Vector":
+        """The vector of a sparse value over the denominator d (see cleared)."""
+        coords = [Scalar.zero(params)] * space.dim
+        for i, c in values.items():
+            coords[i] = c if params else Scalar.rational(Fraction(c, d))
+        return cls(space, params, coords)
+
+    def cleared(self) -> tuple:
+        """(d, values): the sparse value of this vector over the denominator d."""
+        d, clear = _clearing(self.params, [c for c in self.coords if c])
+        return d, {i: clear(c) for i, c in enumerate(self.coords) if c}
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -124,7 +158,7 @@ class Vector:
 class LinMap:
     """Square matrix of Scalars; column j is the image of basis vector j."""
 
-    __slots__ = ("space", "params", "rows")
+    __slots__ = ("space", "params", "rows", "_powers", "_sparse")
 
     def __init__(self, space: BasisSpace, params: tuple, rows: Sequence[Sequence[Scalar]]):
         if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
@@ -132,6 +166,8 @@ class LinMap:
         self.space = space
         self.params = params
         self.rows = tuple(tuple(r) for r in rows)
+        self._powers: dict = {}
+        self._sparse = None
 
     @classmethod
     def identity(cls, space: BasisSpace, params: tuple) -> "LinMap":
@@ -158,21 +194,35 @@ class LinMap:
     def column(self, j: int) -> Vector:
         return Vector(self.space, self.params, [self.rows[i][j] for i in range(self.space.dim)])
 
+    def cleared(self) -> tuple:
+        """(d, columns): columns[j] is the sparse value of column j over the
+        denominator d. Computed once."""
+        if self._sparse is None:
+            d, clear = _clearing(self.params, [c for row in self.rows for c in row if c])
+            self._sparse = d, [
+                {i: clear(row[j]) for i, row in enumerate(self.rows) if row[j]}
+                for j in range(self.space.dim)
+            ]
+        return self._sparse
+
     def apply(self, v: Vector) -> Vector:
         _same_space(self, v)
-        return Vector(self.space, self.params, self._apply(v.coords))
+        d, values = v.cleared()
+        return Vector.from_values(
+            self.space, self.params, self._apply(values), self.cleared()[0] * d
+        )
 
-    def _apply(self, coords: Sequence[Scalar]) -> tuple:
-        """The image of a coordinate tuple, with no space check."""
-        out = [Scalar.zero(self.params)] * self.space.dim
-        for j, c in enumerate(coords):
-            if c.is_zero():
-                continue
-            for i, row in enumerate(self.rows):
-                m = row[j]
-                if not m.is_zero():
-                    out[i] = out[i] + m * c
-        return tuple(out)
+    def _apply(self, values: dict) -> dict:
+        """The image of a sparse value, over the product of its denominator
+        and the map's, with no space check."""
+        columns = (self._sparse or self.cleared())[1]
+        out: dict = {}
+        for j, c in values.items():
+            for i, m in columns[j].items():
+                p = m * c
+                acc = out.get(i)
+                out[i] = p if acc is None else acc + p
+        return {i: out[i] for i in sorted(out) if out[i]}
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other (right-to-left)."""
@@ -238,18 +288,27 @@ class LinMap:
         return LinMap(self.space, self.params, right)
 
     def power(self, k: int) -> "LinMap":
-        base = self
-        if k < 0:
+        """self^k, computed once per exponent; raises NotInvertible for k < 0
+        on a singular map."""
+        if k == 1:
+            return self
+        if k in self._powers:
+            return self._powers[k]
+        base, n = self, k
+        if n < 0:
             base = self.inverse()
-            k = -k
+            n = -n
         result = None
-        while k:
-            if k & 1:
+        while n:
+            if n & 1:
                 result = base if result is None else result.compose(base)
-            k >>= 1
-            if k:
+            n >>= 1
+            if n:
                 base = base.compose(base)
-        return LinMap.identity(self.space, self.params) if result is None else result
+        if result is None:
+            result = LinMap.identity(self.space, self.params)
+        self._powers[k] = result
+        return result
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -285,7 +344,7 @@ class LinMap:
 class MultiOp:
     """Arity-r multilinear operation given by sparse structure constants."""
 
-    __slots__ = ("space", "params", "arity", "constants")
+    __slots__ = ("space", "params", "arity", "constants", "_sparse")
 
     def __init__(self, space: BasisSpace, params: tuple, arity: int, constants: dict):
         if arity < 1:
@@ -305,6 +364,7 @@ class MultiOp:
             if any(not c.is_zero() for c in vec):
                 clean[tuple(idx)] = vec
         self.constants = clean
+        self._sparse = None
 
     @classmethod
     def zero(cls, space: BasisSpace, params: tuple, arity: int) -> "MultiOp":
@@ -316,51 +376,70 @@ class MultiOp:
             return Vector.zero(self.space, self.params)
         return Vector(self.space, self.params, vec)
 
+    def cleared(self) -> tuple:
+        """(d, constants): each stored index tuple, in stored order, with the
+        (k, c) pairs of its sparse value over the denominator d. Computed
+        once."""
+        if self._sparse is None:
+            d, clear = _clearing(
+                self.params, [c for vec in self.constants.values() for c in vec if c]
+            )
+            self._sparse = d, {
+                idx: tuple((k, clear(c)) for k, c in enumerate(vec) if c)
+                for idx, vec in self.constants.items()
+            }
+        return self._sparse
+
     def apply(self, args: Sequence[Vector]) -> Vector:
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
         for v in args:
             _same_space(self, v)
-        return Vector(self.space, self.params, self._apply([v.coords for v in args]))
+        d, values = self.cleared()[0], []
+        for v in args:
+            dv, value = v.cleared()
+            d *= dv
+            values.append(value)
+        return Vector.from_values(self.space, self.params, self._apply(values), d)
 
-    def _apply(self, args: Sequence[Sequence[Scalar]]) -> tuple:
-        """The value at `arity` coordinate tuples, with no arity or space
-        check."""
-        out = [Scalar.zero(self.params)] * self.space.dim
-        supports = [[i for i, c in enumerate(a) if not c.is_zero()] for a in args]
+    def _apply(self, args: Sequence[dict]) -> dict:
+        """The value at `arity` sparse values, over the product of their
+        denominators and the op's, with no arity or space check."""
+        constants = (self._sparse or self.cleared())[1]
+        out: dict = {}
         n_combos = 1
-        for s in supports:
-            if not s:
-                return tuple(out)
-            n_combos *= len(s)
-        if n_combos <= len(self.constants):
-            # few nonzero coordinates: walk the support product
-            for idx in itertools.product(*supports):
-                vec = self.constants.get(idx)
+        for a in args:
+            if not a:
+                return out
+            n_combos *= len(a)
+        if n_combos <= len(constants):
+            # few nonzero coordinates: walk the support product in lex order
+            for idx in itertools.product(*args):
+                vec = constants.get(idx)
                 if vec is None:
                     continue
                 coeff = args[0][idx[0]]
                 for s in range(1, self.arity):
                     coeff = coeff * args[s][idx[s]]
-                for k, c in enumerate(vec):
-                    if not c.is_zero():
-                        out[k] = out[k] + coeff * c
+                for k, c in vec:
+                    p = coeff * c
+                    acc = out.get(k)
+                    out[k] = p if acc is None else acc + p
         else:
             # dense arguments: walk the stored constants
-            for idx, vec in self.constants.items():
+            for idx, vec in constants.items():
                 coeff = None
-                for s, i in enumerate(idx):
-                    c = args[s][i]
-                    if c.is_zero():
-                        coeff = None
+                for a, i in zip(args, idx):
+                    c = a.get(i)
+                    if c is None:
                         break
                     coeff = c if coeff is None else coeff * c
-                if coeff is None:
-                    continue
-                for k, c in enumerate(vec):
-                    if not c.is_zero():
-                        out[k] = out[k] + coeff * c
-        return tuple(out)
+                else:
+                    for k, c in vec:
+                        p = coeff * c
+                        acc = out.get(k)
+                        out[k] = p if acc is None else acc + p
+        return {k: out[k] for k in sorted(out) if out[k]}
 
     def __eq__(self, other):
         if not isinstance(other, MultiOp):

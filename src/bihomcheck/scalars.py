@@ -285,7 +285,12 @@ class Scalar:
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.rat == 0 if self.rat is not None else False
+        # a fraction of polynomials is never zero: _normalize collapses a zero
+        # numerator to the rational tag
+        return self.rat is not None and not self.rat
+
+    def __bool__(self) -> bool:
+        return self.rat is None or bool(self.rat)
 
     def is_rational(self) -> bool:
         return self.rat is not None

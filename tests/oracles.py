@@ -110,16 +110,6 @@ def rational_constants(op):
     }
 
 
-_powers: dict = {}  # (id(map), k) -> (map, map^k); holding the map keeps its id unique
-
-
-def _power(m, k):
-    key = (id(m), k)
-    if key not in _powers:
-        _powers[key] = (m, m.power(k))
-    return _powers[key][1]
-
-
 def reference_eval(ident, bundle, assignment):
     """The value of the identity's left-hand side at an assignment of
     vectors to its variables: every cyc-expanded monomial evaluated by
@@ -130,7 +120,7 @@ def reference_eval(ident, bundle, assignment):
         if isinstance(node, Var):
             return assignment[node.name]
         if isinstance(node, MapApply):
-            return _power(bundle.maps[node.map_name], node.power).apply(value(node.child))
+            return bundle.maps[node.map_name].power(node.power).apply(value(node.child))
         return bundle.ops[node.op_name].apply([value(c) for c in node.children])
 
     total = Vector.zero(bundle.space, bundle.ring.params)

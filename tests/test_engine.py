@@ -24,12 +24,13 @@ from bihomcheck.engine import (
 from bihomcheck.errors import (
     ArityMismatch,
     ConstraintViolated,
+    DenominatorVanishes,
     NoSamplePoints,
     NotInvertible,
     UnknownName,
 )
 from bihomcheck.linear import Vector
-from bihomcheck.scalars import Scalar
+from bihomcheck.scalars import Scalar, parse_scalar
 from bihomcheck.structures import IDENTITIES, REGISTRY, SUITES
 
 from conftest import make_bundle
@@ -173,17 +174,58 @@ def assert_matches_reference(ident, bundle, identity_id):
     return verdict
 
 
+# non-integer coordinates for the free parameters of a catalog entry
+POINT_VALUES = tuple(
+    Fraction(n, d) for n, d in ((1, 3), (-2, 5), (7, 2), (5, 4), (-3, 7), (9, 8))
+)
+
+
+def rational_point(entry):
+    """A point with non-integer free coordinates on the entry's first
+    constraint branch (the constrained parameters solved through it)."""
+    params = entry.bundle.ring.params
+    subs = entry.branches[0] if entry.branches else {}
+    free = tuple(p for p in params if p not in subs)
+    for shift in range(len(POINT_VALUES)):
+        point = {p: POINT_VALUES[(i + shift) % len(POINT_VALUES)] for i, p in enumerate(free)}
+        try:
+            for name, text in subs.items():
+                point[name] = parse_scalar(text, free).eval(point)
+        except DenominatorVanishes:
+            continue
+        if entry.bundle.ring.check_point(point) is None:
+            return {p: point[p] for p in params}
+    raise AssertionError(f"no rational point for entry {entry.entry_id}")
+
+
+# the laws with negative map powers
+INVERSE_LAWS = {
+    "power-fixed": IDENTITIES["power-fixed"],
+    "eq31-fixed": instantiate_power_identity("eq31", FIXED_EXPONENTS),
+    "eq32-mixed": instantiate_power_identity("eq32", ExponentTuple(1, -1, 2, 0, -2, 1, 0, 1)),
+}
+
+
 @pytest.mark.parametrize("entry_id", sorted(entries()))
 def test_compiled_walk_matches_reference_on_catalog(entry_id):
     """Status, lex-first counterexample and residual text of the compiled
-    evaluator equal those of the reference walk, on every catalog entry."""
-    bundle = get_entry(entry_id).completed_bundle()
-    for identity_id in sorted(
-        set(REGISTRY["tbp"].identities)
-        | set(REGISTRY["bp"].identities)
-        | set(SUITES["thm25"].identities)
-    ):
-        assert_matches_reference(IDENTITIES[identity_id], bundle, identity_id)
+    evaluator equal those of the reference walk, on every catalog entry:
+    over Q(params), and specialised at a point with non-integer coordinates,
+    where the op and map denominators are cleared to integers."""
+    entry = get_entry(entry_id)
+    bundle = entry.completed_bundle()
+    laws = {
+        identity_id: IDENTITIES[identity_id]
+        for identity_id in sorted(
+            set(REGISTRY["tbp"].identities)
+            | set(REGISTRY["bp"].identities)
+            | set(SUITES["thm25"].identities)
+        )
+    }
+    laws.update(INVERSE_LAWS)
+    for case in (bundle, bundle.eval_at(rational_point(entry))):
+        for identity_id, ident in laws.items():
+            assert_matches_reference(ident, case, identity_id)
 
 
 def test_compiled_residual_text_on_rational_functions():
@@ -203,6 +245,33 @@ def test_compiled_residual_text_on_rational_functions():
         "0",
         "(-k1^5*k3 + 2*k1^3*k3^3)/(k1^4*k3^2)",
     ]
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        ("forall x,y: mul(h(x), y) + mul(x, h(y)) - mul(x, y) = 0", "pass"),
+        ("forall x,y: mul(h(x), y) - mul(x, y) = 0", "fail"),
+    ],
+)
+def test_terms_over_different_step_denominators(text, status):
+    """Over Q the walk's step values are integers over a step denominator:
+    15 for mul(x, y) (the op's constants over their lcm) and 30 for
+    mul(h(x), y) with h = id/2. The first law cancels exactly only when each
+    term is weighted by lcm / its denominator, and the second fails at the
+    first tuple where mul does not vanish, though its integer values are
+    equal."""
+    bundle = make_bundle(
+        ["e1", "e2"],
+        (),
+        {"mul": (2, {(0, 1): ("0", "1/3"), (1, 0): ("0", "1/3"), (1, 1): ("3/5", "0")})},
+        {"h": [["1/2", "0"], ["0", "1/2"]]},
+    )
+    verdict = assert_matches_reference(parse_identity(text), bundle, "law")
+    assert verdict.status == status
+    if status == "fail":
+        assert verdict.counterexample.basis_tuple == (0, 1)
+        assert list(verdict.counterexample.residual) == ["0", "-1/6"]
 
 
 def test_sampled_needs_a_point(entry26):

@@ -21,6 +21,8 @@ from bihomcheck.fileio import (
     save_bundle,
 )
 
+from conftest import make_bundle
+
 
 def shipped_catalog_paths():
     folder = resources.files("bihomcheck").joinpath("data/catalog")
@@ -458,33 +460,72 @@ class TestCli:
         assert ids == sorted(ids)
 
 
-def test_construct_bytes_do_not_depend_on_hash_seed(tmp_path):
-    """The hypothesis warnings of derivation-tbp go into the written bundle,
-    so they must come out in one order under every PYTHONHASHSEED. Here no
-    two of a, b and D commute, so three commutation warnings are recorded."""
-    from bihomcheck.construct import truncated_polynomial_algebra
-    from bihomcheck.linear import LinMap
-    from bihomcheck.scalars import Scalar
+# argv of each byte-writing subcommand; {src} is the case's input bundle
+# and {out} the file it writes
+HASH_SEED_CASES = {
+    "construct-derivation-tbp": (
+        "construct", "derivation-tbp", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
+    ),
+    "check-symbolic": ("check", "{src}", "--structure", "tbp", "--report", "{out}"),
+    "check-sampled": (
+        "check", "{src}", "--structure", "tbp", "--mode", "sampled", "--seed", "1",
+        "--report", "{out}",
+    ),
+    "identities-thm25": ("identities", "{src}", "--set", "thm25", "--report", "{out}"),
+    "catalog-verify-symbolic": ("catalog", "verify", "--entries", "16,20,26", "--report", "{out}"),
+    "catalog-verify-sampled": (
+        "catalog", "verify", "--entries", "16,20,26", "--mode", "sampled", "--seed", "2",
+        "--report", "{out}",
+    ),
+}
 
-    qt = truncated_polynomial_algebra(("t",), 3)
 
-    def matrix(rows):
-        return LinMap(qt.space, (), [[Scalar.rational(c) for c in row] for row in rows])
+def hash_seed_source(case):
+    """The input bundle of a case. construct gets a poly[t]<3 bundle whose a,
+    b and D pairwise do not commute, so derivation-tbp records three
+    commutation warnings in the written bundle. check and identities get a
+    dim-2 bundle over Q(k1) on which every law they check fails, with
+    residuals over Q(k1) and, when sampled, over Q."""
+    if case.startswith("construct"):
+        from bihomcheck.construct import truncated_polynomial_algebra
+        from bihomcheck.linear import LinMap
+        from bihomcheck.scalars import Scalar
 
-    a = matrix([[1, 1, 0], [0, 2, 0], [0, 0, 4]])
-    b = matrix([[1, 0, 0], [1, 3, 0], [0, 1, 9]])
-    src = tmp_path / "qt3.bundle"
-    save_bundle(qt.replace(maps={**qt.maps, "a": a, "b": b}), src)
+        qt = truncated_polynomial_algebra(("t",), 3)
+
+        def matrix(rows):
+            return LinMap(qt.space, (), [[Scalar.rational(c) for c in row] for row in rows])
+
+        a = matrix([[1, 1, 0], [0, 2, 0], [0, 0, 4]])
+        b = matrix([[1, 0, 0], [1, 3, 0], [0, 1, 9]])
+        return qt.replace(maps={**qt.maps, "a": a, "b": b})
+    return make_bundle(
+        ["e1", "e2"],
+        ("k1",),
+        {
+            "mul": (2, {(0, 0): ("1", "k1"), (0, 1): ("0", "1"), (1, 0): ("0", "1")}),
+            "br": (2, {(0, 1): ("k1", "1"), (1, 0): ("-k1", "-1")}),
+        },
+        {"a": [["1", "1"], ["0", "1"]], "b": [["k1", "0"], ["0", "1"]]},
+    )
+
+
+@pytest.mark.parametrize("case", list(HASH_SEED_CASES))
+def test_written_bytes_do_not_depend_on_hash_seed(case, tmp_path):
+    """Every byte-writing subcommand prints and writes the same bytes under
+    every PYTHONHASHSEED (hash seeds 0-3)."""
+    src = tmp_path / "input.bundle"
+    save_bundle(hash_seed_source(case), src)
     env = dict(os.environ, PYTHONPATH=str(Path(bihomcheck.__file__).parents[1]))
     outputs = set()
     for seed in range(4):
-        out = tmp_path / f"out{seed}.bundle"
-        subprocess.run(
-            [sys.executable, "-m", "bihomcheck.cli", "construct", "derivation-tbp",
-             str(src), "-o", str(out), "--allow-hypothesis-failures"],
+        out = tmp_path / f"out{seed}"
+        argv = [arg.format(src=src, out=out) for arg in HASH_SEED_CASES[case]]
+        run = subprocess.run(
+            [sys.executable, "-m", "bihomcheck.cli", *argv],
             env={**env, "PYTHONHASHSEED": str(seed)},
-            check=True,
             capture_output=True,
         )
-        outputs.add(out.read_bytes())
+        assert run.returncode in (0, 1), run.stderr
+        outputs.add((run.stdout.replace(bytes(out), b"OUT"), out.read_bytes()))
     assert len(outputs) == 1
