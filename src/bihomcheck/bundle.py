@@ -97,12 +97,6 @@ class AlgebraBundle:
             raise MissingMap(name)
         return m
 
-    def map_or_identity(self, name: str) -> LinMap:
-        m = self.maps.get(name)
-        if m is None:
-            return LinMap.identity(self.space, self.ring.params)
-        return m
-
     # -- transformations -------------------------------------------------------
 
     def replace(self, ops=None, maps=None, provenance=None) -> "AlgebraBundle":

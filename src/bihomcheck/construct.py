@@ -5,6 +5,18 @@ require=False to downgrade refusals to recorded warnings), never mutates its
 input, and stamps the output's provenance with the construction name and the
 inputs used.
 
+A construction is its hypothesis checks plus one .idl term per new op, such
+as br(x, y) = mul(a(x), D(b(y))) - mul(b(y), D(a(x))), which
+engine.define_op evaluates at every basis tuple. A term names maps and ops
+of the input, or of a working bundle (bundle.replace) that gives them the
+names the term uses. Products of three or more maps, a b^-2 and g a^-1 b in
+the ternary brackets, are precomposed there as matrices in a fixed order
+(`A^-1` is A.power(-1), cached per map object): polynomial fractions are
+never gcd-reduced, so re-associating a product would change the printed
+coefficients. A chain of two maps is written as text. tensor_bundle and
+truncated_polynomial_algebra fill constants directly; neither is a term
+over one bundle.
+
 Derivations and involutions are required to commute with both structure maps
 even where a weaker hypothesis might do: without commutation the constructed
 ternary bracket need not be multiplicative under the structure maps. The
@@ -18,17 +30,9 @@ from dataclasses import dataclass
 
 from .bundle import AlgebraBundle, Ring
 from .dsl import Identity, parse_identity
-from .engine import check_identity
-from .errors import PredicateFailed, RingMismatch
-from .linear import (
-    BasisSpace,
-    LinMap,
-    MultiOp,
-    Vector,
-    tensor_map,
-    tensor_space,
-    twist_op,
-)
+from .engine import check_identity, define_op
+from .errors import ArityMismatch, PredicateFailed, RingMismatch
+from .linear import BasisSpace, LinMap, MultiOp, Vector, tensor_map, tensor_space
 from .scalars import Scalar
 from .structures import (
     check_structure,
@@ -88,27 +92,29 @@ def yau_twist(bundle: AlgebraBundle, specs, require: bool = True) -> AlgebraBund
     commute pairwise and be multiplicative for every op they twist."""
     if isinstance(specs, TwistSpec):
         specs = [specs]
-    hyp = _Hypotheses("yau-twist", require)
-    used = []
-    for spec in specs:
-        for name, _power in spec.slots:
-            if name not in used:
-                used.append(name)
-    for m1, m2 in itertools.combinations(used, 2):
-        hyp.check_commute(bundle, m1, m2)
     for spec in specs:
         op = bundle.require_op(spec.op_name)
         for name, _power in spec.slots:
+            bundle.require_map(name)
+        if len(spec.slots) != op.arity:
+            raise ArityMismatch(f"need {op.arity} maps, got {len(spec.slots)}")
+    hyp = _Hypotheses("yau-twist", require)
+    used = dict.fromkeys(name for spec in specs for name, _power in spec.slots)
+    for m1, m2 in itertools.combinations(used, 2):
+        hyp.check_commute(bundle, m1, m2)
+    for spec in specs:
+        for name, _power in spec.slots:
             hyp.check_identity(
-                multiplicativity_identity(name, spec.op_name, op.arity),
+                multiplicativity_identity(name, spec.op_name, len(spec.slots)),
                 bundle,
                 f"map {name!r} is not multiplicative for op {spec.op_name!r}",
             )
     ops = dict(bundle.ops)
     for spec in specs:
-        op = bundle.require_op(spec.op_name)
-        maps = [bundle.require_map(name).power(power) for name, power in spec.slots]
-        ops[spec.op_name] = twist_op(op, maps)
+        names = [f"x{i}" for i in range(len(spec.slots))]
+        args = ", ".join(f"{m}^{p}({x})" for (m, p), x in zip(spec.slots, names))
+        term = f"{spec.op_name}({args})"
+        ops[spec.op_name] = define_op(bundle, f"forall {','.join(names)}: {term} = 0")
     prov = hyp.provenance(
         input=bundle.label(),
         twists={s.op_name: [f"{n}^{p}" for n, p in s.slots] for s in specs},
@@ -121,8 +127,20 @@ def yau_twist(bundle: AlgebraBundle, specs, require: bool = True) -> AlgebraBund
 # ---------------------------------------------------------------------------
 
 
-def _commassoc_hypotheses(hyp, bundle, d_name, a_name, b_name):
-    mul0 = bundle.require_op("mul", 2)
+TWISTED_MUL = "forall x,y: mul(a(x), b(y)) = 0"
+
+
+def _derivation_data(hyp, bundle, d_name, a_name, b_name) -> AlgebraBundle:
+    """The product and the three maps, named mul, a, b and D as the terms of
+    the derivation constructions use them, once the hypotheses are checked."""
+    work = bundle.replace(
+        ops={"mul": bundle.require_op("mul", 2)},
+        maps={
+            "a": bundle.require_map(a_name),
+            "b": bundle.require_map(b_name),
+            "D": bundle.require_map(d_name),
+        },
+    )
     comm = parse_identity("forall x,y: mul(x, y) - mul(y, x) = 0")
     assoc = parse_identity("forall x,y,z: mul(mul(x, y), z) - mul(x, mul(y, z)) = 0")
     hyp.check_identity(comm, bundle, "product is not commutative")
@@ -140,7 +158,7 @@ def _commassoc_hypotheses(hyp, bundle, d_name, a_name, b_name):
     )
     for m1, m2 in itertools.combinations(dict.fromkeys((a_name, b_name, d_name)), 2):
         hyp.check_commute(bundle, m1, m2)
-    return mul0
+    return work
 
 
 def derivation_tbp(
@@ -154,29 +172,15 @@ def derivation_tbp(
     product x.y = mul0(a(x), b(y)) and the Wronskian-style bracket
     br(x, y) = mul0(a(x), D(b(y))) - mul0(b(y), D(a(x)))."""
     hyp = _Hypotheses("derivation-tbp", require)
-    mul0 = _commassoc_hypotheses(hyp, bundle, d_name, a_name, b_name)
-    A = bundle.map_or_identity(a_name)
-    B = bundle.map_or_identity(b_name)
-    D = bundle.require_map(d_name)
-    DA, DB = D.compose(A), D.compose(B)
-    dim = bundle.space.dim
-    mul = twist_op(mul0, [A, B])
-    constants = {}
-    for i in range(dim):
-        for j in range(dim):
-            value = mul0.apply([A.column(i), DB.column(j)]) - mul0.apply(
-                [B.column(j), DA.column(i)]
-            )
-            if not value.is_zero():
-                constants[(i, j)] = value.coords
-    br = MultiOp(bundle.space, bundle.ring.params, 2, constants)
-    ops = dict(bundle.ops)
-    ops["mul"] = mul
-    ops["br"] = br
-    maps = dict(bundle.maps)
-    maps["a"], maps["b"] = A, B
+    work = _derivation_data(hyp, bundle, d_name, a_name, b_name)
+    ops = {
+        **bundle.ops,
+        "mul": define_op(work, TWISTED_MUL),
+        "br": define_op(work, "forall x,y: mul(a(x), D(b(y))) - mul(b(y), D(a(x))) = 0"),
+    }
+    maps = {**bundle.maps, "a": work.maps["a"], "b": work.maps["b"]}
     prov = hyp.provenance(input=bundle.label(), derivation=d_name, maps=[a_name, b_name])
-    return AlgebraBundle(bundle.space, bundle.ring, ops, maps, prov)
+    return bundle.replace(ops=ops, maps=maps, provenance=prov)
 
 
 def pre_lie_from_derivation(
@@ -189,55 +193,33 @@ def pre_lie_from_derivation(
     """Same data as derivation_tbp but producing the one-sided product
     star(x, y) = mul0(a(x), D(b(y)))."""
     hyp = _Hypotheses("pre-lie", require)
-    mul0 = _commassoc_hypotheses(hyp, bundle, d_name, a_name, b_name)
-    A = bundle.map_or_identity(a_name)
-    B = bundle.map_or_identity(b_name)
-    D = bundle.require_map(d_name)
-    DB = D.compose(B)
-    dim = bundle.space.dim
-    constants = {}
-    for i in range(dim):
-        for j in range(dim):
-            value = mul0.apply([A.column(i), DB.column(j)])
-            if not value.is_zero():
-                constants[(i, j)] = value.coords
-    ops = dict(bundle.ops)
-    ops["mul"] = twist_op(mul0, [A, B])
-    ops["star"] = MultiOp(bundle.space, bundle.ring.params, 2, constants)
-    maps = dict(bundle.maps)
-    maps["a"], maps["b"] = A, B
+    work = _derivation_data(hyp, bundle, d_name, a_name, b_name)
+    ops = {
+        **bundle.ops,
+        "mul": define_op(work, TWISTED_MUL),
+        "star": define_op(work, "forall x,y: mul(a(x), D(b(y))) = 0"),
+    }
+    maps = {**bundle.maps, "a": work.maps["a"], "b": work.maps["b"]}
     prov = hyp.provenance(input=bundle.label(), derivation=d_name, maps=[a_name, b_name])
-    return AlgebraBundle(bundle.space, bundle.ring, ops, maps, prov)
+    return bundle.replace(ops=ops, maps=maps, provenance=prov)
 
 
 def np_commutator(bundle: AlgebraBundle, require: bool = True) -> AlgebraBundle:
     """Twisted commutator bracket of the star product:
     br(x, y) = star(x, y) - star(a^-1 b(y), a b^-1(x))."""
     hyp = _Hypotheses("np-commutator", require)
-    star = bundle.require_op("star", 2)
-    A, B = bundle.require_map("a"), bundle.require_map("b")
-    left = A.inverse().compose(B)   # raises NotInvertible on singular maps
-    right = A.compose(B.inverse())
+    bundle.require_op("star", 2)
+    bundle.require_map("a").power(-1)  # raises NotInvertible on singular maps
+    bundle.require_map("b").power(-1)
     report = check_structure("pre-lie-poisson", bundle)
     hyp.demand(
         report.passed,
         "input does not satisfy the pre-Lie Poisson laws: "
         + ", ".join(v.identity for v in report.verdicts if v.status != "pass"),
     )
-    dim = bundle.space.dim
-    params = bundle.ring.params
-    constants = {}
-    for i in range(dim):
-        for j in range(dim):
-            ei = Vector.basis(bundle.space, i, params)
-            ej = Vector.basis(bundle.space, j, params)
-            value = star.apply([ei, ej]) - star.apply([left.column(j), right.column(i)])
-            if not value.is_zero():
-                constants[(i, j)] = value.coords
-    ops = dict(bundle.ops)
-    ops["br"] = MultiOp(bundle.space, params, 2, constants)
+    br = define_op(bundle, "forall x,y: star(x, y) - star(a^-1(b(y)), a(b^-1(x))) = 0")
     prov = hyp.provenance(input=bundle.label())
-    return bundle.replace(ops=ops, provenance=prov)
+    return bundle.replace(ops={**bundle.ops, "br": br}, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -320,32 +302,23 @@ def tensor_bundle(
 # ---------------------------------------------------------------------------
 
 
-def _ternary_from_slotmaps(bundle, first: LinMap, second: LinMap, third: LinMap):
-    """Shared constants builder for the three ternary constructions, all of
-    shape  g1(x).br(b^-1 y, b^-1 z) + g2(y).br(a^-1 z, a b^-2 x)
-         + g3(z).br(b^-1 x, a b^-2 y)   with g1, g2, g3 supplied."""
-    mul = bundle.require_op("mul", 2)
-    br = bundle.require_op("br", 2)
-    A, B = bundle.require_map("a"), bundle.require_map("b")
-    a_inv, b_inv = A.inverse(), B.inverse()
-    ab2 = A.compose(b_inv).compose(b_inv)
-    dim = bundle.space.dim
-    constants = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                value = mul.apply(
-                    [first.column(i), br.apply([b_inv.column(j), b_inv.column(k)])]
-                )
-                value = value + mul.apply(
-                    [second.column(j), br.apply([a_inv.column(k), ab2.column(i)])]
-                )
-                value = value + mul.apply(
-                    [third.column(k), br.apply([b_inv.column(i), ab2.column(j)])]
-                )
-                if not value.is_zero():
-                    constants[(i, j, k)] = value.coords
-    return MultiOp(bundle.space, bundle.ring.params, 3, constants)
+def _ternary(bundle: AlgebraBundle, g: LinMap, h: LinMap) -> MultiOp:
+    """The ternary bracket shared by the three ternary constructions,
+    g(x).br(b^-1 y, b^-1 z) + g(y).br(a^-1 z, a b^-2 x) + h(z).br(b^-1 x, a b^-2 y),
+    for given maps g and h. The product a b^-2 is formed once, as
+    (a b^-1) b^-1, because polynomial fractions print by association."""
+    mul, br = bundle.require_op("mul", 2), bundle.require_op("br", 2)
+    A, B = bundle.maps["a"], bundle.maps["b"]
+    b_inv = B.power(-1)
+    work = bundle.replace(
+        ops={"mul": mul, "br": br},
+        maps={"a": A, "b": B, "g": g, "h": h, "ab2": A.compose(b_inv).compose(b_inv)},
+    )
+    return define_op(
+        work,
+        "forall x,y,z: mul(g(x), br(b^-1(y), b^-1(z))) + mul(g(y), br(a^-1(z), ab2(x)))"
+        " + mul(h(z), br(b^-1(x), ab2(y))) = 0",
+    )
 
 
 def ternary_from_derivation(
@@ -363,10 +336,7 @@ def ternary_from_derivation(
         )
     hyp.check_commute(bundle, d_name, "a")
     hyp.check_commute(bundle, d_name, "b")
-    third = D.compose(A.inverse()).compose(B)
-    tbr = _ternary_from_slotmaps(bundle, D, D, third)
-    ops = dict(bundle.ops)
-    ops["tbr"] = tbr
+    ops = {**bundle.ops, "tbr": _ternary(bundle, D, D.compose(A.power(-1)).compose(B))}
     prov = hyp.provenance(input=bundle.label(), derivation=d_name)
     return bundle.replace(ops=ops, provenance=prov)
 
@@ -388,15 +358,8 @@ def ternary_from_involution(
         "involution hypotheses fail: "
         + ", ".join(v.identity for v in inv_report.verdicts if v.status != "pass"),
     )
-    third = F.compose(A.inverse()).compose(B)
-    tbr = _ternary_from_slotmaps(bundle, F, F, third)
-    ops = dict(bundle.ops)
-    ops["tbr"] = tbr
-    compat_bundle = bundle.replace(ops=ops)
-    if f_name != "f":
-        maps = dict(compat_bundle.maps)
-        maps["f"] = F
-        compat_bundle = compat_bundle.replace(maps=maps)
+    ops = {**bundle.ops, "tbr": _ternary(bundle, F, F.compose(A.power(-1)).compose(B))}
+    compat_bundle = bundle.replace(ops=ops, maps={**bundle.maps, "f": F})
     compat = check_identity(IDENTITIES["invol-compat"], compat_bundle, "invol-compat")
     prov = hyp.provenance(
         input=bundle.label(), involution=f_name, invol_compat=compat.status
@@ -416,10 +379,7 @@ def ternary_from_product(bundle: AlgebraBundle, require: bool = True) -> Algebra
     )
     ident = LinMap.identity(bundle.space, bundle.ring.params)
     A, B = bundle.require_map("a"), bundle.require_map("b")
-    third = A.inverse().compose(B)
-    tbr = _ternary_from_slotmaps(bundle, ident, ident, third)
-    ops = dict(bundle.ops)
-    ops["tbr"] = tbr
+    ops = {**bundle.ops, "tbr": _ternary(bundle, ident, A.power(-1).compose(B))}
     prov = hyp.provenance(input=bundle.label())
     return bundle.replace(ops=ops, provenance=prov)
 

@@ -43,6 +43,12 @@ arithmetic, each integer coordinate becoming the rational c / D_s:
 polynomial fractions are never gcd-reduced, so another order could print
 another numerator/denominator pair for the same value (reduced rationals
 print the same in any order).
+
+define_op is the second user of the bound evaluators. It reads the left side
+of a `forall x,y,...: TERM = 0` text as a new op: at every basis tuple it
+sums the term once with BoundIdentity.residual, the summation of a
+counterexample's residual, and keeps the nonzero values as the op's
+constants. Every op that construct builds from one bundle comes from here.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from .errors import (
     NotInvertible,
     UnknownName,
 )
-from .linear import Vector
+from .linear import MultiOp, Vector
 from .scalars import Scalar
 
 
@@ -227,6 +233,14 @@ class BoundIdentity:
         values = self.evaluators[s](tup)
         return Vector.from_values(self.space, self.params, values, self.denominators[s])
 
+    def residual(self, tup: tuple) -> Vector:
+        """The identity's left side at a basis tuple, summed from the step
+        values monomial by monomial in expand_identity order."""
+        out = Vector.zero(self.space, self.params)
+        for coeff, s in self.monomials:
+            out = out + self.value(s, tup).scale(coeff)
+        return out
+
 
 def _residual_is_zero(terms: list, tup: tuple) -> bool:
     acc: dict = {}
@@ -248,19 +262,26 @@ def check_identity(
         bound = BoundIdentity(ident, bundle)
     except NotInvertible as exc:
         return Verdict(identity_id, "inapplicable", f"non-invertible map: {exc}")
-    space, params = bundle.space, bundle.ring.params
-    for tup in itertools.product(range(space.dim), repeat=len(ident.vars)):
+    for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
         if _residual_is_zero(bound.terms, tup):
             continue
-        residual = Vector.zero(space, params)
-        for coeff, s in bound.monomials:
-            residual = residual + bound.value(s, tup).scale(coeff)
-        return Verdict(
-            identity_id,
-            "fail",
-            counterexample=Counterexample(tup, tuple(c.text() for c in residual.coords)),
-        )
+        residual = tuple(c.text() for c in bound.residual(tup).coords)
+        return Verdict(identity_id, "fail", counterexample=Counterexample(tup, residual))
     return Verdict(identity_id, "pass")
+
+
+def define_op(bundle: AlgebraBundle, text: str) -> MultiOp:
+    """The op whose value at a basis tuple is the value of the term in the
+    `forall x,y,...: TERM = 0` text, with one argument per variable; each
+    tuple's value is summed once, as a residual is."""
+    ident = parse_identity(text)
+    bound = BoundIdentity(ident, bundle)
+    constants = {}
+    for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
+        value = bound.residual(tup)
+        if not value.is_zero():
+            constants[tup] = value.coords
+    return MultiOp(bundle.space, bundle.ring.params, len(ident.vars), constants)
 
 
 def checked_points(

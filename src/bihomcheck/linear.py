@@ -477,22 +477,6 @@ class MultiOp:
         return f"MultiOp(arity={self.arity}, nonzero={len(self.constants)})"
 
 
-def twist_op(op: MultiOp, maps: Sequence[LinMap]) -> MultiOp:
-    """New constants for (x1,..,xr) -> op(m1(x1),..,mr(xr))."""
-    if len(maps) != op.arity:
-        raise ArityMismatch(f"need {op.arity} maps, got {len(maps)}")
-    for m in maps:
-        _same_space(op, m)
-    dim = op.space.dim
-    columns = [[m.column(j) for j in range(dim)] for m in maps]
-    constants = {}
-    for idx in itertools.product(range(dim), repeat=op.arity):
-        value = op.apply([columns[s][i] for s, i in enumerate(idx)])
-        if not value.is_zero():
-            constants[idx] = value.coords
-    return MultiOp(op.space, op.params, op.arity, constants)
-
-
 def tensor_space(a: BasisSpace, b: BasisSpace) -> BasisSpace:
     """Row-major product basis (left factor outer), labels joined with ⊗."""
     return BasisSpace([f"{la}⊗{lb}" for la in a.labels for lb in b.labels])

@@ -148,6 +148,15 @@ def entry26_file(tmp_path_factory, entry26):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def qt3_file(tmp_path_factory):
+    from bihomcheck.construct import truncated_polynomial_algebra
+
+    path = tmp_path_factory.mktemp("bundles") / "qt3.json"
+    save_bundle(truncated_polynomial_algebra(("t",), 3), path)
+    return str(path)
+
+
 class TestCli:
     def test_check_pass_exit_zero(self, entry26_file, capsys):
         assert cli_main(["check", entry26_file, "--structure", "tbp"]) == 0
@@ -240,6 +249,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: bad power in twist spec 'mul=a^x'")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("twist", "--op", "mul=b(a,b(a"), "bundle has no linear map 'b(a'"),
+            (("twist", "--op", "mul=a"), "need 2 maps, got 1"),
+            (("twist", "--op", "mul=a,b,a"), "need 2 maps, got 3"),
+            (
+                ("derivation-tbp", "--map-a", "zz", "--allow-hypothesis-failures"),
+                "bundle has no linear map 'zz'",
+            ),
+        ],
+        ids=["unknown-slot-map", "too-few-slots", "too-many-slots", "unknown-map-a"],
+    )
+    def test_construct_names_checked_first(self, argv, message, qt3_file, tmp_path, capsys):
+        """Every map and op a construction names is looked up, and every
+        twist's slot count checked against its op, before any law is
+        written or checked."""
+        kind, *options = argv
+        out = tmp_path / "out.json"
+        assert cli_main(["construct", kind, qt3_file, "-o", str(out), *options]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_sampled_regular_singular_point(self, seed, tmp_path, capsys):
@@ -466,6 +498,14 @@ HASH_SEED_CASES = {
     "construct-derivation-tbp": (
         "construct", "derivation-tbp", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
     ),
+    "construct-twist": (
+        "construct", "twist", "{src}", "-o", "{out}", "--op", "mul=a^-1,b^2",
+        "--allow-hypothesis-failures",
+    ),
+    "construct-ternary-d": (
+        "construct", "ternary-d", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
+    ),
+    "tensor": ("tensor", "{src}", "{src}", "--kind", "bp-tbp", "-o", "{out}"),
     "check-symbolic": ("check", "{src}", "--structure", "tbp", "--report", "{out}"),
     "check-sampled": (
         "check", "{src}", "--structure", "tbp", "--mode", "sampled", "--seed", "1",
@@ -483,9 +523,10 @@ HASH_SEED_CASES = {
 def hash_seed_source(case):
     """The input bundle of a case. construct gets a poly[t]<3 bundle whose a,
     b and D pairwise do not commute, so derivation-tbp records three
-    commutation warnings in the written bundle. check and identities get a
-    dim-2 bundle over Q(k1) on which every law they check fails, with
-    residuals over Q(k1) and, when sampled, over Q."""
+    commutation warnings in the written bundle; ternary-d gets that
+    derivation-tbp output. check, identities and tensor get a dim-2 bundle
+    over Q(k1) on which every law they check fails, with residuals over
+    Q(k1) and, when sampled, over Q."""
     if case.startswith("construct"):
         from bihomcheck.construct import truncated_polynomial_algebra
         from bihomcheck.linear import LinMap
@@ -498,7 +539,12 @@ def hash_seed_source(case):
 
         a = matrix([[1, 1, 0], [0, 2, 0], [0, 0, 4]])
         b = matrix([[1, 0, 0], [1, 3, 0], [0, 1, 9]])
-        return qt.replace(maps={**qt.maps, "a": a, "b": b})
+        qt = qt.replace(maps={**qt.maps, "a": a, "b": b})
+        if case == "construct-ternary-d":
+            from bihomcheck.construct import derivation_tbp
+
+            return derivation_tbp(qt, require=False)
+        return qt
     return make_bundle(
         ["e1", "e2"],
         ("k1",),

@@ -15,9 +15,9 @@ from bihomcheck.linear import (
     Vector,
     tensor_map,
     tensor_space,
-    twist_op,
 )
-from bihomcheck.engine import check_identity
+from bihomcheck.bundle import AlgebraBundle, Ring
+from bihomcheck.engine import check_identity, define_op
 from bihomcheck.scalars import Scalar, parse_scalar
 from bihomcheck.structures import commute_identity
 
@@ -149,28 +149,33 @@ class TestMapPower:
         assert m.compose(inv) == LinMap.identity(sp, P)
 
 
+def twist(bundle, op_name, left, right):
+    """The binary op op_name(left(x), right(y)), evaluated by the engine."""
+    return define_op(bundle, f"forall x,y: {op_name}({left}(x), {right}(y)) = 0")
+
+
 class TestTwist:
     def test_identity_twist(self):
         sp = BasisSpace(["e"])
         op = MultiOp(sp, (), 2, {(0, 0): (Scalar.one(()),)})
         ident = LinMap.identity(sp, ())
-        assert twist_op(op, [ident, ident]) == op
+        bundle = AlgebraBundle(sp, Ring(), {"mul": op}, {"id": ident})
+        assert twist(bundle, "mul", "id", "id") == op
 
     def test_entry26_twist(self, entry26):
-        twisted = twist_op(entry26.ops["mul"], [entry26.maps["a"], entry26.maps["b"]])
+        twisted = twist(entry26, "mul", "a", "b")
         # (e1 + k2 e2)·(e1 + k1 e2) only sees the e1·e1 constant
         assert twisted.value_at((0, 0)) == Vector.basis(entry26.space, 1, P)
 
     def test_zero_slot_kills_everything(self, entry26):
         zero = LinMap.zero(entry26.space, P)
-        twisted = twist_op(entry26.ops["mul"], [entry26.maps["a"], zero])
+        twisted = twist(entry26.replace(maps={**entry26.maps, "z": zero}), "mul", "a", "z")
         assert twisted.is_zero()
 
     def test_twist_composes(self, entry26):
-        a, b = entry26.maps["a"], entry26.maps["b"]
-        op = entry26.ops["br"]
-        once = twist_op(twist_op(op, [a, b]), [b, a])
-        assert once == twist_op(op, [a.compose(b), b.compose(a)])
+        inner = entry26.replace(ops={**entry26.ops, "br": twist(entry26, "br", "a", "b")})
+        once = twist(inner, "br", "b", "a")
+        assert once == define_op(entry26, "forall x,y: br(a(b(x)), b(a(y))) = 0")
 
 
 class TestCommute:

@@ -182,7 +182,7 @@ def novikov_star_instances():
 def is_twisted(bundle):
     """Whether either structure map a, b differs from the identity."""
     identity = LinMap.identity(bundle.space, bundle.ring.params)
-    return bundle.map_or_identity("a") != identity or bundle.map_or_identity("b") != identity
+    return bundle.maps.get("a", identity) != identity or bundle.maps.get("b", identity) != identity
 
 
 @pytest.fixture(scope="module")
