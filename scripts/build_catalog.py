@@ -266,10 +266,9 @@ def entry_status(entry: CatalogEntry) -> str:
     return "report-only"
 
 
-def main():
-    out_dir = Path(__file__).resolve().parent.parent / "src/bihomcheck/data/catalog"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    statuses = {}
+def build_entries() -> list:
+    """Every catalog entry, derived from the source table; writes nothing."""
+    out = []
     for spec in ENTRIES:
         bundle = build_bundle(spec)
         completion, slots = derive_completion(spec, bundle)
@@ -283,14 +282,22 @@ def main():
             branches=tuple(spec.get("branches", ())),
         )
         entry.status = entry_status(entry)
-        statuses[spec["id"]] = entry.status
-        path = out_dir / f"entry{spec['id']:02d}.json"
+        out.append(entry)
+    return out
+
+
+def main():
+    out_dir = Path(__file__).resolve().parent.parent / "src/bihomcheck/data/catalog"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = build_entries()
+    for entry in entries:
+        path = out_dir / f"entry{entry.entry_id:02d}.json"
         path.write_text(
             json.dumps(entry.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    passing = sorted(i for i, s in statuses.items() if s == "asserted-pass")
-    print(f"wrote {len(ENTRIES)} entries; asserted-pass: {passing}")
+    passing = [e.entry_id for e in entries if e.status == "asserted-pass"]
+    print(f"wrote {len(entries)} entries; asserted-pass: {passing}")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +261,29 @@ def test_split_rng_is_deterministic_and_splittable():
     assert [a.randint(0, 100) for _ in range(5)] == [b.randint(0, 100) for _ in range(5)]
     c = SplitRng(42).child("y")
     assert [c.randint(0, 100) for _ in range(5)] != [b.randint(0, 100) for _ in range(5)]
+
+
+def build_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "build_catalog.py"
+    spec = importlib.util.spec_from_file_location("build_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_script_regenerates_the_shipped_entries(capsys):
+    """The build script derives every shipped entry file byte for byte, and
+    prints the same inconsistent row for entry 21; the completion solve's
+    pivot order decides that row's unreduced fraction."""
+    built = build_script().build_entries()
+    folder = resources.files("bihomcheck").joinpath("data/catalog")
+    assert [e.entry_id for e in built] == list(range(1, 27))
+    for entry in built:
+        text = json.dumps(entry.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+        shipped = folder.joinpath(f"entry{entry.entry_id:02d}.json").read_text(encoding="utf-8")
+        assert text == shipped, entry.entry_id
+    assert capsys.readouterr().out == (
+        "  entry 21: completion inconsistent (inconsistent system row: "
+        "0 = (k1^4*k3^2 + 2*k1^3*k2*k3^2"
+        " - k1^4*k3 - 2*k1^3*k2*k3 - k1^3*k3^2 + k1^3*k3)/(k1^3*k3))\n"
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from bihomcheck.linear import (
     tensor_space,
 )
 from bihomcheck.bundle import AlgebraBundle, Ring
+from bihomcheck.catalog import entries
 from bihomcheck.engine import check_identity, define_op
 from bihomcheck.scalars import Scalar, parse_scalar
 from bihomcheck.structures import commute_identity
@@ -147,6 +149,24 @@ class TestMapPower:
         inv = m.inverse()
         assert inv.rows[0][0] == Scalar.one(P) / S("k1")
         assert m.compose(inv) == LinMap.identity(sp, P)
+
+    def test_catalog_inverse_texts(self):
+        """The printed a^-1, a^-2, b^-1, b^-2 of every catalog entry, as one
+        hash: Q(params) fractions are never gcd-reduced, so the elimination's
+        pivot and row order decide the text."""
+        lines = []
+        for entry_id, entry in sorted(entries().items()):
+            for name in ("a", "b"):
+                m = entry.bundle.maps[name]
+                m = LinMap(m.space, m.params, m.rows)
+                for k in (-1, -2):
+                    try:
+                        text = repr(m.power(k))
+                    except NotInvertible:
+                        text = "singular"
+                    lines.append(f"{entry_id} {name}^{k} {text}")
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == "4d5f12efbaca208645700c11e1fcdc5c64f3c1beca9e3d1e68417f8965613c12"
 
 
 def twist(bundle, op_name, left, right):
