@@ -11,7 +11,6 @@ completions numerically, so regeneration is checked in CI.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bihomcheck.bundle import AlgebraBundle, Ring
 from bihomcheck.catalog import CATALOG_AXES, CatalogEntry, solve_skew_completion
 from bihomcheck.errors import Inconsistent
+from bihomcheck.fileio import canonical_json
 from bihomcheck.linear import BasisSpace, LinMap, MultiOp
 from bihomcheck.scalars import parse_scalar
 from bihomcheck.structures import definition_verdicts
@@ -292,10 +292,7 @@ def main():
     entries = build_entries()
     for entry in entries:
         path = out_dir / f"entry{entry.entry_id:02d}.json"
-        path.write_text(
-            json.dumps(entry.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(canonical_json(entry.to_dict()), encoding="utf-8")
     passing = [e.entry_id for e in entries if e.status == "asserted-pass"]
     print(f"wrote {len(entries)} entries; asserted-pass: {passing}")
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from operator import methodcaller
 from typing import Mapping
 
 from .errors import ArityMismatch, MissingMap, MissingOp, RingMismatch, SpaceMismatch
 from .linear import BasisSpace, LinMap, MultiOp
-from .scalars import Poly
+from .scalars import Poly, Scalar
 
 CONVENTIONAL_ARITIES = {"mul": 2, "br": 2, "star": 2, "tbr": 3}
 
@@ -111,48 +112,26 @@ class AlgebraBundle:
     def eval_at(self, point: Mapping[str, Fraction]) -> "AlgebraBundle":
         """Specialize every coefficient at a parameter point (exact)."""
         point = {k: Fraction(v) for k, v in point.items()}
-        ops = {n: op.eval_at(point) for n, op in self.ops.items()}
-        maps = {n: m.eval_at(point) for n, m in self.maps.items()}
         prov = dict(self.provenance) if self.provenance else {}
         prov["specialized_at"] = {k: str(v) for k, v in point.items()}
-        return AlgebraBundle(self.space, Ring(), ops, maps, prov)
+        return self._map_scalars(lambda c: Scalar.rational(c.eval(point)), Ring(), prov)
 
     def rename_params(self, mapping: Mapping[str, str]) -> "AlgebraBundle":
         new_params = tuple(mapping.get(p, p) for p in self.ring.params)
         if len(set(new_params)) != len(new_params):
             raise RingMismatch("renaming collapses parameters")
-        ops = {n: op.rename_params(mapping, new_params) for n, op in self.ops.items()}
-        maps = {n: m.rename_params(mapping, new_params) for n, m in self.maps.items()}
-        constraints = tuple(c.rename(mapping, new_params) for c in self.ring.constraints)
-        return AlgebraBundle(self.space, Ring(new_params, constraints), ops, maps, self.provenance)
+        return self._renamed(mapping, new_params)
 
     def substitute_params(self, values: Mapping[str, "object"], new_params) -> "AlgebraBundle":
         """Replace some parameters by Scalars over the reduced ring; constraint
         polynomials that become identically zero are dropped, anything left is
         a residual the caller must deal with."""
         new_params = tuple(new_params)
-        ops = {}
-        for n, op in self.ops.items():
-            constants = {
-                idx: tuple(c.substitute(values, new_params) for c in vec)
-                for idx, vec in op.constants.items()
-            }
-            ops[n] = MultiOp(op.space, new_params, op.arity, constants)
-        maps = {
-            n: LinMap(
-                m.space,
-                new_params,
-                [[c.substitute(values, new_params) for c in row] for row in m.rows],
-            )
-            for n, m in self.maps.items()
-        }
-        residuals = []
-        for c in self.ring.constraints:
-            value = Poly(c.params, dict(c.terms)).substitute(values, new_params)
-            if not value.is_zero():
-                num = value.as_fraction_pair()[0]
-                residuals.append(num)
-        return AlgebraBundle(self.space, Ring(new_params, tuple(residuals)), ops, maps, self.provenance)
+        substitute = methodcaller("substitute", values, new_params)
+        residuals = tuple(
+            v.as_fraction_pair()[0] for v in map(substitute, self.ring.constraints) if v
+        )
+        return self._map_scalars(substitute, Ring(new_params, residuals), self.provenance)
 
     def with_params(self, new_params) -> "AlgebraBundle":
         """Reinterpret over a superset parameter tuple (ring extension)."""
@@ -160,10 +139,19 @@ class AlgebraBundle:
         for p in self.ring.params:
             if p not in new_params:
                 raise RingMismatch(f"parameter {p!r} missing from the extended ring")
-        ops = {n: op.rename_params({}, new_params) for n, op in self.ops.items()}
-        maps = {n: m.rename_params({}, new_params) for n, m in self.maps.items()}
-        constraints = tuple(c.rename({}, new_params) for c in self.ring.constraints)
-        return AlgebraBundle(self.space, Ring(new_params, constraints), ops, maps, self.provenance)
+        return self._renamed({}, new_params)
+
+    def _renamed(self, mapping, new_params: tuple) -> "AlgebraBundle":
+        rename = methodcaller("rename", mapping, new_params)  # Scalars and Polys alike
+        ring = Ring(new_params, tuple(map(rename, self.ring.constraints)))
+        return self._map_scalars(rename, ring, self.provenance)
+
+    def _map_scalars(self, fn, ring: Ring, provenance) -> "AlgebraBundle":
+        """This bundle over ring, with fn applied to every coefficient of
+        every op and map."""
+        ops = {n: op.map_scalars(fn, ring.params) for n, op in self.ops.items()}
+        maps = {n: m.map_scalars(fn, ring.params) for n, m in self.maps.items()}
+        return AlgebraBundle(self.space, ring, ops, maps, provenance)
 
     # -- canonical form ---------------------------------------------------------
 

@@ -8,10 +8,11 @@ points) whose verdicts engine.merge combines.
 
 Completion convention: unlisted PRODUCT constants are zero; unlisted BRACKET
 constants are solved from the twisted skew-symmetry equations
-br(b(ei), a(ej)) + br(b(ej), a(ei)) = 0 with free unknowns set to zero. When
-the listed constants make that system unsolvable the entry ships with a null
-completion and is verified with zero-forced unlisted constants, which the
-report then describes honestly (the entry stays report-only).
+br(b(ei), a(ej)) + br(b(ej), a(ei)) = 0 by linear.gauss_jordan, with free
+unknowns set to zero. When the listed constants make that system unsolvable
+the entry ships with a null completion and is verified with zero-forced
+unlisted constants, which the report then describes honestly (the entry
+stays report-only).
 
 Entries with printed parameter constraints carry branch data: substitutions
 that solve the constraint for one parameter (or pin a linear factor), so
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 from .bundle import AlgebraBundle
 from .engine import checked_points
 from .errors import Inconsistent, UnknownEntry
-from .linear import LinMap, MultiOp
+from .linear import LinMap, MultiOp, gauss_jordan
 from .rng import SplitRng
 from .scalars import Scalar, parse_scalar
 from .structures import Report, StructureDef, _predicate_id, definition_verdicts
@@ -126,39 +127,6 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-def _solve_linear(rows, rhs, params):
-    """Gaussian elimination over the Scalar field with free unknowns zeroed.
-    Raises Inconsistent when a zero row has nonzero right-hand side."""
-    n_unknowns = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows]
-    rhs = list(rhs)
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(n_unknowns):
-        pivot = next((r for r in range(row, len(rows)) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
-        p = rows[row][col]
-        rows[row] = [c / p for c in rows[row]]
-        rhs[row] = rhs[row] / p
-        for r in range(len(rows)):
-            if r != row and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [rows[r][j] - f * rows[row][j] for j in range(n_unknowns)]
-                rhs[r] = rhs[r] - f * rhs[row]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, len(rows)):
-        if not rhs[r].is_zero():
-            raise Inconsistent(f"0 = {rhs[r].text()}")
-    solution = [Scalar.zero(params)] * n_unknowns
-    for r, col in pivots:
-        solution[col] = rhs[r]
-    return solution
-
-
 def solve_skew_completion(
     given: Mapping[tuple, Sequence[Scalar]],
     given_slots,
@@ -219,19 +187,18 @@ def solve_skew_completion(
                     row[col] = w
                 if any(not c.is_zero() for c in row) or not const[comp].is_zero():
                     rows.append(row)
-                    rhs.append(-const[comp])
-    if not col_of:
-        # nothing to solve; the fully listed bracket must already be consistent
-        for row, r in zip(rows, rhs):
-            if not r.is_zero():
-                raise Inconsistent(f"0 = {r.text()}")
-        return {}
-    solution = _solve_linear(rows, rhs, params) if rows else [zero] * len(col_of)
-    out = {}
-    for slot in unknown_slots:
-        coords = tuple(solution[col_of[(slot, comp)]] for comp in range(dim))
-        out[slot] = coords
-    return out
+                    rhs.append([-const[comp]])
+    pivots, rhs = gauss_jordan(rows, rhs, len(col_of))
+    for r in rhs[len(pivots):]:
+        if not r[0].is_zero():
+            raise Inconsistent(f"0 = {r[0].text()}")
+    solution = [zero] * len(col_of)
+    for r, col in enumerate(pivots):
+        solution[col] = rhs[r][0]
+    return {
+        slot: tuple(solution[col_of[(slot, comp)]] for comp in range(dim))
+        for slot in unknown_slots
+    }
 
 
 def complete_by_skew(
@@ -244,12 +211,13 @@ def complete_by_skew(
     """Numeric skew completion at one parameter point (the public operation;
     the symbolic variant above backs the shipped completion data)."""
     point = {k: Fraction(v) for k, v in point.items()}
-    num_given = {
-        slot: tuple(Scalar.rational(c.eval(point)) for c in vec)
-        for slot, vec in given.items()
-    }
+
+    def at_point(c):
+        return Scalar.rational(c.eval(point))
+
+    num_given = {slot: tuple(map(at_point, vec)) for slot, vec in given.items()}
     return solve_skew_completion(
-        num_given, given_slots, alpha.eval_at(point), beta.eval_at(point)
+        num_given, given_slots, alpha.map_scalars(at_point, ()), beta.map_scalars(at_point, ())
     )
 
 

@@ -8,7 +8,6 @@ malformed input). Malformed input never produces a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .construct import (
 )
 from .engine import ExponentTuple, check_identity
 from .errors import BihomError, DenominatorVanishes
-from .fileio import load_bundle, load_identity_file, save_bundle, save_report
+from .fileio import canonical_json, load_bundle, load_identity_file, save_bundle, save_report
 from .rng import SplitRng
 from .structures import SUITES, Report, check_power_suite, check_structure, check_suite
 
@@ -206,8 +205,7 @@ def cmd_catalog(args) -> int:
             print(f"{entry_id:5d}  {e.case:4s}  {params:12s}  {e.status}")
         return 0
     if args.action == "show":
-        data = get_entry(args.entry).to_dict()
-        print(json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True))
+        print(canonical_json(get_entry(args.entry).to_dict()), end="")
         return 0
     # verify
     ids = _parse_entry_range(args.entries) if args.entries else None
@@ -220,10 +218,7 @@ def cmd_catalog(args) -> int:
             "seed": args.seed,
             "reports": [r.to_dict() for r in reports],
         }
-        Path(args.report).write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.report).write_text(canonical_json(payload), encoding="utf-8")
     failing = [
         r for r in reports
         if get_entry(int(r.bundle.replace("entry", ""))).status == "asserted-pass"
@@ -377,6 +372,9 @@ def cli_main(argv=None) -> int:
         return args.func(args)
     except (BihomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -253,7 +253,7 @@ def tensor_bundle(
     if kind == "bp-tbp":
         for bundle, side in ((a_bundle, "left"), (b_bundle, "right")):
             for name in ("a", "b"):
-                if bundle.require_map(name).det().is_zero():
+                if not bundle.require_map(name).invertible():
                     hyp.warnings.append(
                         f"{side} factor map {name!r} is singular; the transposed-structure "
                         "preservation claim assumes invertible maps"

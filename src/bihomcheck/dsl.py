@@ -204,6 +204,13 @@ class _Tokenizer:
         return tok
 
 
+def _nat(tok) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # more digits than int() converts
+        raise IdentitySyntaxError(tok[2], "number too long") from None
+
+
 class _IdentityParser:
     """Recursive descent; returns identities as distributed term lists."""
 
@@ -268,7 +275,7 @@ class _IdentityParser:
         tok = self.toks.peek()
         if tok[0] == "nat":
             self.toks.next()
-            coeff *= int(tok[1])
+            coeff *= _nat(tok)
             self.toks.expect("*")
         return [(coeff * c, node) for c, node in self._factor()]
 
@@ -304,7 +311,7 @@ class _IdentityParser:
             self.toks.next()
             sign = -1
         tok = self.toks.expect("nat")
-        return sign * int(tok[1])
+        return sign * _nat(tok)
 
     def _cyc(self, pos: int):
         self.toks.expect("(")

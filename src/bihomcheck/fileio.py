@@ -127,18 +127,22 @@ def load_bundle(path) -> AlgebraBundle:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleFormatError(f"{path}: invalid JSON at line {exc.lineno}")
+    except ValueError:  # an integer literal longer than int() converts
+        raise BundleFormatError(f"{path}: number too long") from None
     try:
         return bundle_from_dict(data)
     except UnknownParameter as exc:
         raise BundleFormatError(f"{path}: {exc}")
 
 
+def canonical_json(data) -> str:
+    """The one text every written bundle, report and catalog entry uses:
+    sorted keys, two-space indent, UTF-8 kept as is, a final newline."""
+    return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
 def save_bundle(bundle: AlgebraBundle, path) -> None:
-    Path(path).write_text(
-        json.dumps(bundle.canonical_dict(), indent=2, ensure_ascii=False, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(canonical_json(bundle.canonical_dict()), encoding="utf-8")
 
 
 def report_to_json(report, bundle_hash: str | None = None) -> str:
@@ -146,7 +150,7 @@ def report_to_json(report, bundle_hash: str | None = None) -> str:
     data["tool_version"] = __version__
     if bundle_hash is not None:
         data["bundle_hash"] = bundle_hash
-    return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    return canonical_json(data)
 
 
 def save_report(report, path, bundle_hash: str | None = None) -> None:

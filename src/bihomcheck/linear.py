@@ -20,6 +20,9 @@ Conventions (fixed once, used everywhere):
 
 Everything is immutable after construction and safe to share, so a map's
 powers and the cleared forms of maps and ops are computed once per object.
+gauss_jordan is the package's one elimination: it serves LinMap.inverse and
+the catalog's skew completion, and LinMap.invertible (inverse exists) is the
+only regularity test. map_scalars is the one per-coefficient transform.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ArityMismatch, NotInvertible, RingMismatch, SpaceMismatch
 from .scalars import Scalar
@@ -155,6 +158,31 @@ class Vector:
         return f"Vector({self.text()})"
 
 
+def gauss_jordan(rows, rhs_rows, n_cols: int) -> tuple:
+    """Reduce the equations rows (n_cols coefficients each), with one row of
+    right-hand sides per equation, to (pivot column of each leading row,
+    reduced right-hand sides); a nonzero right-hand side past the pivots is
+    an inconsistency. Per column the first nonzero entry at or below the
+    current row is swapped up and divided out, then cleared from every other
+    row. Q(params) fractions are never gcd-reduced, so this order is fixed."""
+    rows = [[*r, *b] for r, b in zip(rows, rhs_rows)]
+    pivots = []
+    for col in range(n_cols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        p = rows[row][col]
+        rows[row] = [c / p for c in rows[row]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != row and not f.is_zero():
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots, [r[n_cols:] for r in rows]
+
+
 class LinMap:
     """Square matrix of Scalars; column j is the image of basis vector j."""
 
@@ -241,51 +269,23 @@ class LinMap:
                         rows[i][j] = rows[i][j] + a * b
         return LinMap(self.space, self.params, rows)
 
-    def det(self) -> Scalar:
-        n = self.space.dim
-        rows = [list(r) for r in self.rows]
-        det = Scalar.one(self.params)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-            if pivot is None:
-                return Scalar.zero(self.params)
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            p = rows[col][col]
-            det = det * p
-            for r in range(col + 1, n):
-                f = rows[r][col]
-                if f.is_zero():
-                    continue
-                f = f / p
-                rows[r] = [rows[r][j] - f * rows[col][j] for j in range(n)]
-        return det
-
     def inverse(self) -> "LinMap":
         n = self.space.dim
         zero, one = Scalar.zero(self.params), Scalar.one(self.params)
-        left = [list(r) for r in self.rows]
-        right = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not left[r][col].is_zero()), None)
-            if pivot is None:
-                raise NotInvertible(f"map on {self.space.labels} has zero determinant")
-            if pivot != col:
-                left[col], left[pivot] = left[pivot], left[col]
-                right[col], right[pivot] = right[pivot], right[col]
-            p = left[col][col]
-            left[col] = [c / p for c in left[col]]
-            right[col] = [c / p for c in right[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = left[r][col]
-                if f.is_zero():
-                    continue
-                left[r] = [left[r][j] - f * left[col][j] for j in range(n)]
-                right[r] = [right[r][j] - f * right[col][j] for j in range(n)]
+        identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        pivots, right = gauss_jordan(self.rows, identity, n)
+        if len(pivots) < n:
+            raise NotInvertible(f"map on {self.space.labels} has zero determinant")
         return LinMap(self.space, self.params, right)
+
+    def invertible(self) -> bool:
+        """Whether the map has an inverse over its ring (exact: a Scalar is
+        zero iff its numerator is). The inverse is kept for power(-1)."""
+        try:
+            self.power(-1)
+        except NotInvertible:
+            return False
+        return True
 
     def power(self, k: int) -> "LinMap":
         """self^k, computed once per exponent; raises NotInvertible for k < 0
@@ -320,19 +320,9 @@ class LinMap:
 
     __hash__ = None
 
-    def eval_at(self, point: Mapping[str, Fraction]) -> "LinMap":
-        return LinMap(
-            self.space,
-            (),
-            [[Scalar.rational(c.eval(point)) for c in row] for row in self.rows],
-        )
-
-    def rename_params(self, mapping, new_params: tuple) -> "LinMap":
-        return LinMap(
-            self.space,
-            new_params,
-            [[c.rename(mapping, new_params) for c in row] for row in self.rows],
-        )
+    def map_scalars(self, fn, params: tuple) -> "LinMap":
+        """The map over params whose coefficients are fn of this map's."""
+        return LinMap(self.space, params, [[fn(c) for c in row] for row in self.rows])
 
     def __repr__(self):
         rows = "; ".join(
@@ -365,10 +355,6 @@ class MultiOp:
                 clean[tuple(idx)] = vec
         self.constants = clean
         self._sparse = None
-
-    @classmethod
-    def zero(cls, space: BasisSpace, params: tuple, arity: int) -> "MultiOp":
-        return cls(space, params, arity, {})
 
     def value_at(self, idx) -> Vector:
         vec = self.constants.get(tuple(idx))
@@ -459,19 +445,12 @@ class MultiOp:
             all(c.is_zero() for c in vec) for vec in self.constants.values()
         )
 
-    def eval_at(self, point: Mapping[str, Fraction]) -> "MultiOp":
+    def map_scalars(self, fn, params: tuple) -> "MultiOp":
+        """The op over params whose structure constants are fn of this op's."""
         constants = {
-            idx: tuple(Scalar.rational(c.eval(point)) for c in vec)
-            for idx, vec in self.constants.items()
+            idx: tuple(fn(c) for c in vec) for idx, vec in self.constants.items()
         }
-        return MultiOp(self.space, (), self.arity, constants)
-
-    def rename_params(self, mapping, new_params: tuple) -> "MultiOp":
-        constants = {
-            idx: tuple(c.rename(mapping, new_params) for c in vec)
-            for idx, vec in self.constants.items()
-        }
-        return MultiOp(self.space, new_params, self.arity, constants)
+        return MultiOp(self.space, params, self.arity, constants)
 
     def __repr__(self):
         return f"MultiOp(arity={self.arity}, nonzero={len(self.constants)})"

@@ -359,14 +359,14 @@ def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
         return check_identity(multiplicativity_identity(m, opname, op.arity), bundle, vid)
     if kind == "regular":
         _, m = pred
-        if bundle.require_map(m).det().is_zero():
+        if not bundle.require_map(m).invertible():
             return Verdict(vid, "fail", reason="determinant is zero")
         return Verdict(vid, "pass")
     raise ValueError(f"unknown predicate {pred!r}")
 
 
 def _maps_invertible(bundle: AlgebraBundle) -> bool:
-    return all(not bundle.require_map(n).det().is_zero() for n in ("a", "b"))
+    return all(bundle.require_map(n).invertible() for n in ("a", "b"))
 
 
 def _verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:

@@ -62,6 +62,14 @@ def test_nonlinear_term_rejected():
     assert info.value.variable == "x"
 
 
+@pytest.mark.parametrize("text", ["forall x: {n}*a(x) = 0", "forall x: a^{n}(x) = 0"])
+def test_overlong_number_is_a_syntax_error(text):
+    """int() refuses more than 4300 digits with a ValueError; the parser
+    reports it as a syntax error, so the CLI exits 2 instead of crashing."""
+    with pytest.raises(IdentitySyntaxError, match="number too long"):
+        parse_identity(text.format(n="1" * 5000))
+
+
 def test_missing_variable_rejected():
     # y never occurs in the monomial
     with pytest.raises(LinearityViolation):

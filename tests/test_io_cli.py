@@ -195,14 +195,34 @@ class TestCli:
             ("ring-not-an-object", malformed(ring=[])),
             ("ops-not-an-object", malformed(ops=5)),
             ("maps-not-an-object", malformed(maps=[])),
+            pytest.param("deep-json", "[" * 100000 + "]" * 100000, id="deep-json"),
+            pytest.param(
+                "deep-coefficient",
+                malformed(maps={"a": [["(" * 3000 + "1" + ")" * 3000, "0"], ["0", "1"]]}),
+                id="deep-coefficient",
+            ),
+            pytest.param(
+                "deep-idl", "forall x: " + "a(" * 3000 + "x" + ")" * 3000 + " = 0\n", id="deep-idl"
+            ),
+            pytest.param("long-integer", '{"schema": 1, "dim": ' + "1" * 5000 + "}", id="long-integer"),
         ],
     )
     def test_malformed_bundle_fields_exit_two(self, case, data, tmp_path, capsys):
+        """Input nested past Python's recursion limit, or a JSON integer past
+        int()'s 4300-digit limit, is malformed input too; the deep-idl case is
+        a .idl file run with `dsl check`."""
         path = tmp_path / f"{case}.bundle"
-        path.write_text(json.dumps(data))
-        assert cli_main(["check", str(path), "--structure", "tbp"]) == 2
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        argv = ["check", str(path), "--structure", "tbp"]
+        if case == "deep-idl":
+            bundle = tmp_path / "good.bundle"
+            bundle.write_text(json.dumps(malformed()))
+            argv = ["dsl", "check", str(path), str(bundle)]
+        assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if case.startswith("deep-"):
+            assert err == "error: input nested too deeply\n"
 
     def test_unreadable_paths_exit_two(self, entry26_file, tmp_path, capsys):
         """A directory, a file that is not UTF-8 or a report path that is a

@@ -279,7 +279,7 @@ def test_ternary_skew_holds_for_constructed_brackets(tbp_pool):
     for label, bundle in tbp_pool:
         if bundle.ring.params or bundle.space.dim > 4:
             continue
-        if bundle.maps["a"].det().is_zero() or bundle.maps["b"].det().is_zero():
+        if not bundle.maps["a"].invertible() or not bundle.maps["b"].invertible():
             continue
         try:
             t3 = ternary_from_product(bundle, require=False)
