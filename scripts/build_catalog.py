@@ -254,7 +254,7 @@ def derive_completion(spec, bundle):
         for c in coords:
             # lift over the full parameter list (solutions here are rational
             # constants or polynomials in the surviving parameters)
-            out.append(c.rename({}, spec["params"]))
+            out.append(c.substitute({}, spec["params"]))
         lifted[slot] = tuple(out)
     return lifted, slots
 

@@ -5,6 +5,10 @@ Conventional names (enforced arities): binary ops mul, br, star; ternary tbr;
 nbr with its declared arity. Conventional maps: a, b (the two structure
 endomorphisms), D (a derivation), f (an involution); extra ops and maps may
 take any name that .idl text can spell, so every law can mention them.
+
+substitute_params is the one parameter transform: it solves a constraint
+branch, renames parameters (Scalar.var values) and extends the ring (no
+values). eval_at specializes every parameter at a point.
 """
 
 from __future__ import annotations
@@ -116,35 +120,19 @@ class AlgebraBundle:
         prov["specialized_at"] = {k: str(v) for k, v in point.items()}
         return self._map_scalars(lambda c: Scalar.rational(c.eval(point)), Ring(), prov)
 
-    def rename_params(self, mapping: Mapping[str, str]) -> "AlgebraBundle":
-        new_params = tuple(mapping.get(p, p) for p in self.ring.params)
-        if len(set(new_params)) != len(new_params):
-            raise RingMismatch("renaming collapses parameters")
-        return self._renamed(mapping, new_params)
-
     def substitute_params(self, values: Mapping[str, "object"], new_params) -> "AlgebraBundle":
-        """Replace some parameters by Scalars over the reduced ring; constraint
-        polynomials that become identically zero are dropped, anything left is
-        a residual the caller must deal with."""
+        """This bundle over new_params, each parameter named in values
+        replaced by its Scalar over new_params and every other one kept as
+        itself. It is the one parameter transform: Scalar.var values rename
+        parameters, and empty values extend the ring. Constraint polynomials
+        that become identically zero are dropped, anything left is a
+        residual the caller must deal with."""
         new_params = tuple(new_params)
         substitute = methodcaller("substitute", values, new_params)
         residuals = tuple(
             v.as_fraction_pair()[0] for v in map(substitute, self.ring.constraints) if v
         )
         return self._map_scalars(substitute, Ring(new_params, residuals), self.provenance)
-
-    def with_params(self, new_params) -> "AlgebraBundle":
-        """Reinterpret over a superset parameter tuple (ring extension)."""
-        new_params = tuple(new_params)
-        for p in self.ring.params:
-            if p not in new_params:
-                raise RingMismatch(f"parameter {p!r} missing from the extended ring")
-        return self._renamed({}, new_params)
-
-    def _renamed(self, mapping, new_params: tuple) -> "AlgebraBundle":
-        rename = methodcaller("rename", mapping, new_params)  # Scalars and Polys alike
-        ring = Ring(new_params, tuple(map(rename, self.ring.constraints)))
-        return self._map_scalars(rename, ring, self.provenance)
 
     def _map_scalars(self, fn, ring: Ring, provenance) -> "AlgebraBundle":
         """This bundle over ring, with fn applied to every coefficient of

@@ -12,7 +12,9 @@ br(b(ei), a(ej)) + br(b(ej), a(ei)) = 0 by linear.gauss_jordan, with free
 unknowns set to zero. When the listed constants make that system unsolvable
 the entry ships with a null completion and is verified with zero-forced
 unlisted constants, which the report then describes honestly (the entry
-stays report-only).
+stays report-only). solve_skew_completion is the one solver: over the
+listing's ring it derives the shipped data, and on the ops and maps of
+bundle.eval_at(point) it completes numerically at a point.
 
 Entries with printed parameter constraints carry branch data: substitutions
 that solve the constraint for one parameter (or pin a linear factor), so
@@ -199,26 +201,6 @@ def solve_skew_completion(
         slot: tuple(solution[col_of[(slot, comp)]] for comp in range(dim))
         for slot in unknown_slots
     }
-
-
-def complete_by_skew(
-    given: Mapping[tuple, Sequence[Scalar]],
-    given_slots,
-    alpha: LinMap,
-    beta: LinMap,
-    point: Mapping[str, Fraction],
-) -> dict:
-    """Numeric skew completion at one parameter point (the public operation;
-    the symbolic variant above backs the shipped completion data)."""
-    point = {k: Fraction(v) for k, v in point.items()}
-
-    def at_point(c):
-        return Scalar.rational(c.eval(point))
-
-    num_given = {slot: tuple(map(at_point, vec)) for slot, vec in given.items()}
-    return solve_skew_completion(
-        num_given, given_slots, alpha.map_scalars(at_point, ()), beta.map_scalars(at_point, ())
-    )
 
 
 # ---------------------------------------------------------------------------

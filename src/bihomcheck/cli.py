@@ -153,28 +153,35 @@ def _parse_twist(value: str) -> TwistSpec:
     return TwistSpec(op_name.strip(), tuple(slots))
 
 
+def _twist(bundle, args, require):
+    if not args.twist:
+        raise BihomError("twist needs at least one --op spec, e.g. --op mul=a,b")
+    return yau_twist(bundle, [_parse_twist(v) for v in args.twist], require=require)
+
+
+# `construct KIND`: the builder of each kind, called as (bundle, args, require)
+CONSTRUCTIONS = {
+    "derivation-tbp": lambda b, args, require: derivation_tbp(
+        b, args.derivation, args.map_a, args.map_b, require=require
+    ),
+    "pre-lie": lambda b, args, require: pre_lie_from_derivation(
+        b, args.derivation, args.map_a, args.map_b, require=require
+    ),
+    "np-commutator": lambda b, args, require: np_commutator(b, require=require),
+    "ternary-d": lambda b, args, require: ternary_from_derivation(
+        b, args.derivation, require=require
+    ),
+    "ternary-f": lambda b, args, require: ternary_from_involution(
+        b, args.involution, require=require
+    ),
+    "ternary-m": lambda b, args, require: ternary_from_product(b, require=require),
+    "twist": _twist,
+}
+
+
 def cmd_construct(args) -> int:
     bundle = load_bundle(args.bundle)
-    require = not args.allow_hypothesis_failures
-    kind = args.kind
-    if kind == "derivation-tbp":
-        out = derivation_tbp(bundle, args.derivation, args.map_a, args.map_b, require=require)
-    elif kind == "pre-lie":
-        out = pre_lie_from_derivation(bundle, args.derivation, args.map_a, args.map_b, require=require)
-    elif kind == "np-commutator":
-        out = np_commutator(bundle, require=require)
-    elif kind == "ternary-d":
-        out = ternary_from_derivation(bundle, args.derivation, require=require)
-    elif kind == "ternary-f":
-        out = ternary_from_involution(bundle, args.involution, require=require)
-    elif kind == "ternary-m":
-        out = ternary_from_product(bundle, require=require)
-    elif kind == "twist":
-        if not args.twist:
-            raise BihomError("twist needs at least one --op spec, e.g. --op mul=a,b")
-        out = yau_twist(bundle, [_parse_twist(v) for v in args.twist], require=require)
-    else:
-        raise BihomError(f"unknown construction {kind!r}")
+    out = CONSTRUCTIONS[args.kind](bundle, args, not args.allow_hypothesis_failures)
     return _save_construction(out, args.output)
 
 
@@ -298,18 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("construct", help="apply a construction to a bundle")
-    p.add_argument(
-        "kind",
-        choices=(
-            "derivation-tbp",
-            "pre-lie",
-            "np-commutator",
-            "ternary-d",
-            "ternary-f",
-            "ternary-m",
-            "twist",
-        ),
-    )
+    p.add_argument("kind", choices=tuple(CONSTRUCTIONS))
     p.add_argument("bundle")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--derivation", default="D", help="name of the derivation map")

@@ -13,9 +13,10 @@ names the term uses. Products of three or more maps, a b^-2 and g a^-1 b in
 the ternary brackets, are precomposed there as matrices in a fixed order
 (`A^-1` is A.power(-1), cached per map object): polynomial fractions are
 never gcd-reduced, so re-associating a product would change the printed
-coefficients. A chain of two maps is written as text. tensor_bundle and
-truncated_polynomial_algebra fill constants directly; neither is a term
-over one bundle.
+coefficients. A chain of two maps is written as text. Neither tensor_bundle
+nor truncated_polynomial_algebra is a term over one bundle: the first forms
+sparse Kronecker products of its factors' stored constants, the second
+fills its constants directly.
 
 Derivations and involutions are required to commute with both structure maps
 even where a weaker hypothesis might do: without commutation the constructed
@@ -32,7 +33,7 @@ from .bundle import AlgebraBundle, Ring
 from .dsl import Identity, parse_identity
 from .engine import check_identity, define_op
 from .errors import ArityMismatch, PredicateFailed, RingMismatch
-from .linear import BasisSpace, LinMap, MultiOp, Vector, tensor_map, tensor_space
+from .linear import BasisSpace, LinMap, MultiOp, tensor_map, tensor_space
 from .scalars import Scalar
 from .structures import (
     check_structure,
@@ -227,12 +228,15 @@ def np_commutator(bundle: AlgebraBundle, require: bool = True) -> AlgebraBundle:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_vector(space: BasisSpace, params, va: Vector, vb: Vector) -> Vector:
-    coords = []
-    for ca in va.coords:
-        for cb in vb.coords:
-            coords.append(ca * cb)
-    return Vector(space, params, coords)
+def _kron(op_a: MultiOp, op_b: MultiOp, db: int) -> dict:
+    """The sparse Kronecker product of two binary ops' stored constants:
+    {tensor basis pair: coordinates} in sorted key order, left factor outer
+    as in tensor_space."""
+    return dict(sorted(
+        ((i1 * db + i2, j1 * db + j2), [ca * cb for ca in va for cb in vb])
+        for (i1, j1), va in op_a.constants.items()
+        for (i2, j2), vb in op_b.constants.items()
+    ))
 
 
 def tensor_bundle(
@@ -264,34 +268,18 @@ def tensor_bundle(
         "a": tensor_map(a_bundle.require_map("a"), b_bundle.require_map("a")),
         "b": tensor_map(a_bundle.require_map("b"), b_bundle.require_map("b")),
     }
-    da, db = a_bundle.space.dim, b_bundle.space.dim
-
-    def basis_pair(i):
-        return divmod(i, db)
-
+    db = b_bundle.space.dim
     mul_a, mul_b = a_bundle.ops["mul"], b_bundle.ops["mul"]
-    sec_a, sec_b = a_bundle.ops[second], b_bundle.ops[second]
-    mul_constants = {}
-    sec_constants = {}
-    for i in range(da * db):
-        i1, i2 = basis_pair(i)
-        for j in range(da * db):
-            j1, j2 = basis_pair(j)
-            ma = mul_a.value_at((i1, j1))
-            mb = mul_b.value_at((i2, j2))
-            sa = sec_a.value_at((i1, j1))
-            sb = sec_b.value_at((i2, j2))
-            prod = _tensor_vector(space, params, ma, mb)
-            if not prod.is_zero():
-                mul_constants[(i, j)] = prod.coords
-            mixed = _tensor_vector(space, params, sa, mb) + _tensor_vector(
-                space, params, ma, sb
-            )
-            if not mixed.is_zero():
-                sec_constants[(i, j)] = mixed.coords
+    left = _kron(a_bundle.ops[second], mul_b, db)
+    right = _kron(mul_a, b_bundle.ops[second], db)
+    zero = [Scalar.zero(params)] * space.dim
+    mixed = {
+        k: [x + y for x, y in zip(left.get(k, zero), right.get(k, zero))]
+        for k in sorted(left.keys() | right.keys())
+    }
     ops = {
-        "mul": MultiOp(space, params, 2, mul_constants),
-        second: MultiOp(space, params, 2, sec_constants),
+        "mul": MultiOp(space, params, 2, _kron(mul_a, mul_b, db)),
+        second: MultiOp(space, params, 2, mixed),
     }
     prov = hyp.provenance(inputs=[a_bundle.label(), b_bundle.label()], kind=kind)
     return AlgebraBundle(space, a_bundle.ring, ops, maps, prov)

@@ -322,19 +322,6 @@ def merge(cases: Sequence[tuple]) -> list:
     return merged
 
 
-def check_identity_sampled(
-    ident: Identity,
-    bundle: AlgebraBundle,
-    points: Sequence[Mapping[str, Fraction]],
-    identity_id: str = "identity",
-) -> Verdict:
-    """Check at each parameter point (see checked_points) and merge."""
-    return merge([
-        (point, [check_identity(ident, bundle.eval_at(point), identity_id)])
-        for point in checked_points(bundle, points)
-    ])[0]
-
-
 # ---------------------------------------------------------------------------
 # exponent-template identity family: .idl text with the exponents filled in
 # (the parser drops zero powers, so a^0(b^q(y)) reads as b^q(y))

@@ -51,6 +51,13 @@ def bundle_from_dict(data: dict) -> AlgebraBundle:
         raise BundleFormatError(f"malformed bundle: {exc}") from None
 
 
+def _array(value, what: str) -> list:
+    """value, which must be a JSON array: a string would iterate too."""
+    if not isinstance(value, list):
+        raise BundleFormatError(f"{what} must be a JSON array")
+    return value
+
+
 def _bundle_from_dict(data: dict) -> AlgebraBundle:
     if not isinstance(data, dict):
         raise BundleFormatError("bundle file must contain a JSON object")
@@ -64,7 +71,7 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
     for section in ("ring", "ops", "maps"):
         if not isinstance(data.get(section, {}), dict):
             raise BundleFormatError(f"{section!r} must be a JSON object")
-    labels = list(data["basis"])
+    labels = _array(data["basis"], "'basis'")
     dim = int(data["dim"])
     if len(labels) != dim:
         raise BundleFormatError("dim does not match the number of basis labels")
@@ -74,9 +81,9 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
     unknown = set(ring_data) - _RING_FIELDS
     if unknown:
         raise BundleFormatError(f"unknown ring fields: {sorted(unknown)}")
-    params = tuple(ring_data.get("params", ()))
+    params = tuple(_array(ring_data.get("params", []), "'params'"))
     constraints = []
-    for text in ring_data.get("constraints", ()):
+    for text in _array(ring_data.get("constraints", []), "'constraints'"):
         scalar = parse_scalar(text, params)
         num, den = scalar.as_fraction_pair()
         if not den.is_const():
@@ -91,8 +98,8 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
             raise BundleFormatError(f"unknown op fields in {name!r}: {sorted(unknown)}")
         arity = int(spec["arity"])
         constants: dict = {}
-        for entry in spec.get("entries", ()):
-            if len(entry) != arity + 2:
+        for entry in _array(spec.get("entries", []), f"op {name!r}: 'entries'"):
+            if len(_array(entry, f"op {name!r}: entry")) != arity + 2:
                 raise BundleFormatError(f"op {name!r}: entry {entry!r} has wrong length")
             *idx, comp, coeff = entry
             idx = tuple(int(i) for i in idx)
@@ -105,7 +112,9 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
 
     maps = {}
     for name, rows in data.get("maps", {}).items():
-        if not isinstance(rows, list) or len(rows) != dim or any(len(r) != dim for r in rows):
+        if len(_array(rows, f"map {name!r}")) != dim or any(
+            len(_array(r, f"map {name!r}: row")) != dim for r in rows
+        ):
             raise BundleFormatError(f"map {name!r}: matrix must be {dim}x{dim}")
         maps[name] = LinMap(
             space, params, [[parse_scalar(str(c), params) for c in row] for row in rows]

@@ -28,6 +28,7 @@ from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import (
+    BihomError,
     DenominatorVanishes,
     DivisionByZero,
     RingMismatch,
@@ -189,21 +190,6 @@ class Poly:
             total = total + term
         return total
 
-    def rename(self, mapping: Mapping[str, str], new_params: tuple) -> "Poly":
-        """Reindex exponents onto new_params, translating names via mapping."""
-        pos = {p: i for i, p in enumerate(new_params)}
-        out: dict = {}
-        for e, c in self.terms.items():
-            exps = [0] * len(new_params)
-            for name, k in zip(self.params, e):
-                if k:
-                    target = mapping.get(name, name)
-                    if target not in pos:
-                        raise UnknownParameter(target)
-                    exps[pos[target]] += k
-            out[tuple(exps)] = c
-        return Poly(new_params, out)
-
     # -- comparison / display ------------------------------------------------
 
     def __eq__(self, other):
@@ -226,11 +212,11 @@ class Poly:
                     factors.append(f"{name}^{k}")
             mag = abs(c)
             if not factors:
-                body = str(mag)
+                body = _text(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([_text(mag)] + factors)
             pieces.append(("-" if c < 0 else "+", body))
         sign, body = pieces[0]
         out = ("-" if sign == "-" else "") + body
@@ -404,15 +390,6 @@ class Scalar:
             raise DenominatorVanishes(point, self.den.text())
         return self.num.eval(point) / den
 
-    def rename(self, mapping: Mapping[str, str], new_params: tuple) -> "Scalar":
-        if self.rat is not None:
-            return Scalar(new_params, self.rat, None, None)
-        return _normalize(
-            new_params,
-            self.num.rename(mapping, new_params),
-            self.den.rename(mapping, new_params),
-        )
-
     def substitute(self, values: Mapping[str, "Scalar"], new_params: tuple) -> "Scalar":
         if self.rat is not None:
             return Scalar(new_params, self.rat, None, None)
@@ -420,15 +397,11 @@ class Scalar:
         den = self.den.substitute(values, new_params)
         return num / den
 
-    def with_params(self, new_params: tuple) -> "Scalar":
-        """Reinterpret over a superset parameter tuple."""
-        return self.rename({}, new_params)
-
     # -- display -------------------------------------------------------------
 
     def text(self) -> str:
         if self.rat is not None:
-            return str(self.rat)
+            return _text(self.rat)
         if self.den.is_const() and self.den.const_value() == 1:
             return self.num.text()
         return f"({self.num.text()})/({self.den.text()})"
@@ -439,6 +412,16 @@ class Scalar:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _text(q: Fraction) -> str:
+    """str(q). CPython refuses to print an int of more than 4300 digits, and
+    the loader refuses such numbers, so a value that grew past that is an
+    error rather than text that could not be read back."""
+    try:
+        return str(q)
+    except ValueError:
+        raise BihomError("number too long to print (more than 4300 digits)") from None
 
 
 def _normalize(params: tuple, num: Poly, den: Poly) -> Scalar:

@@ -4,7 +4,8 @@ A StructureDef lists the ops and maps a check requires, its predicates
 (commutation, multiplicativity, regularity) and its laws, in report order.
 REGISTRY holds the structures of `check --structure`, SUITES the sets of
 `identities --set`, catalog.CATALOG_AXES the catalog report's columns.
-check_definition runs any of them, symbolically or at sample points whose
+check_definition is the one runner: it runs any of them, or any other set
+of laws given as a StructureDef, symbolically or at sample points whose
 verdicts engine.merge combines; the plain overlap forms (REGULAR_ONLY) are
 inapplicable on singular maps.
 
@@ -36,7 +37,7 @@ from .engine import (
     instantiate_power_identity,
     merge,
 )
-from .errors import ArityMismatch, BihomError, NotInvertible
+from .errors import ArityMismatch, BihomError
 from .rng import SplitRng
 
 
@@ -474,24 +475,6 @@ def check_nary_transposed(
 # ---------------------------------------------------------------------------
 
 
-def check_derivation(
-    bundle: AlgebraBundle,
-    map_name: str,
-    op_names: Sequence[str],
-    check_commutes: bool = True,
-) -> Report:
-    """Leibniz rule of one map over the named operations, plus commutation
-    with the structure maps when requested."""
-    bundle.require_map(map_name)
-    others = [m for m in ("a", "b") if check_commutes and m in bundle.maps]
-    laws = []
-    for op in op_names:
-        ident = derivation_identity(map_name, op, bundle.require_op(op).arity)
-        laws.append((f"derivation({map_name},{op})", ident))
-    preds = tuple(("commute", map_name, m) for m in others)
-    return check_definition(StructureDef(f"derivation({map_name})", (), (), preds, tuple(laws)), bundle)
-
-
 def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
     """f squares to the identity, anti-commutes with the bracket, and
     commutes with both structure maps."""
@@ -504,26 +487,6 @@ def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
         *((f"commute({f},{m})", commute_identity(f, m)) for m in others),
     )
     return check_definition(StructureDef(f"involution({f})", (("br", 2),), (), (), laws), bundle)
-
-
-def check_compat_equivalence(bundle: AlgebraBundle) -> Report:
-    """The two forms of the product/star compatibility law, which agree on
-    regular commutative bundles; the report records whether the verdicts
-    match and whether the hypotheses held."""
-    for name in ("mul", "star"):
-        bundle.require_op(name, 2)
-    if not _maps_invertible(bundle):
-        raise NotInvertible("equivalence requires invertible structure maps")
-    ids = ("np-compat-right", "np-compat-assoc", "comm")
-    report = check_definition(StructureDef("compat-equivalence", (), (), (), ids), bundle)
-    right, assoc, comm = report.verdicts
-    if comm.status != "pass":
-        report.notes.append(
-            "hypothesis failure: product not twisted-commutative; agreement not asserted"
-        )
-    else:
-        report.notes.append(f"agreement: {str(right.status == assoc.status).lower()}")
-    return report
 
 
 def check_power_suite(

@@ -7,6 +7,17 @@ import pytest
 from bihomcheck.bundle import AlgebraBundle, Ring
 from bihomcheck.linear import BasisSpace, LinMap, MultiOp
 from bihomcheck.scalars import Scalar, parse_scalar
+from bihomcheck.structures import StructureDef
+
+# the two forms of the product/star compatibility law, which agree on
+# regular twisted-commutative bundles, with those hypotheses as verdicts
+COMPAT_FORMS = StructureDef(
+    "compat-equivalence",
+    (("mul", 2), ("star", 2)),
+    ("a", "b"),
+    (("regular", "a"), ("regular", "b")),
+    ("np-compat-right", "np-compat-assoc", "comm"),
+)
 
 
 def make_bundle(labels, params, ops, maps, constraints=(), name=None):
@@ -85,3 +96,17 @@ def euler_wronskian():
     qt = truncated_polynomial_algebra(("t",), 4)
     e = euler_map(qt, 1)
     return derivation_tbp(qt.replace(maps={**qt.maps, "E": e}), d_name="E")
+
+
+@pytest.fixture(scope="session")
+def dim6_transposed():
+    """Honest dim-6 transposed bundle over two truncated variables, bracket
+    from the ideal-stable derivation u*du, with v*dv available for the
+    ternary construction."""
+    from bihomcheck.construct import derivation_tbp, truncated_polynomial_algebra
+
+    quv = truncated_polynomial_algebra(("u", "v"), 3)
+    e1, e2 = euler_map(quv, 1), euler_map(quv, 2)
+    return derivation_tbp(
+        quv.replace(maps={**quv.maps, "E1": e1, "E2": e2}), d_name="E1"
+    )

@@ -6,15 +6,20 @@ identity's monomials that the engine's compiled walk is compared against; it
 reuses LinMap, MultiOp and Vector, and adds the monomials in the same order
 as the engine's residual, so the residual texts of the two must be equal
 (polynomial fractions are not gcd-reduced, so another order could print
-another numerator/denominator pair)."""
+another numerator/denominator pair). dense_evaluator is the same walk on dense
+coordinate lists with its own loops over matrix rows and stored constants,
+so it checks the sparse kernels that reference_eval shares with the engine;
+its values are compared by equality, not by text."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from bihomcheck.dsl import MapApply, Var, expand_identity
 from bihomcheck.linear import Vector
+from bihomcheck.scalars import Scalar
 
 
 def naive_apply(constants, arity, dim, args):
@@ -127,3 +132,63 @@ def reference_eval(ident, bundle, assignment):
     for coeff, node in expand_identity(ident):
         total = total + value(node).scale(coeff)
     return total
+
+
+def dense_evaluator(ident, bundle):
+    """tup -> the identity's left side at that basis tuple, as a list of
+    coordinates, computed without the sparse kernels (no apply, _apply or
+    cleared): a map power a^n multiplies by the rows of a (of a^-1 when
+    n < 0) |n| times, an op sums its stored constants weighted by the
+    products of its arguments' coordinates. Coordinates are Fractions over
+    Q and Scalars over Q(params). A subterm's value is kept per basis
+    indices of its variables. Raises NotInvertible where a singular map is
+    inverted."""
+    params, dim = bundle.ring.params, bundle.space.dim
+    lift = (lambda c: c) if params else (lambda c: c.rat)
+    zero, one = lift(Scalar.zero(params)), lift(Scalar.one(params))
+    position = {name: i for i, name in enumerate(ident.vars)}
+    memo = {}
+
+    @functools.cache
+    def positions(node):
+        if isinstance(node, Var):
+            return (position[node.name],)
+        children = (node.child,) if isinstance(node, MapApply) else node.children
+        return tuple(sorted({i for c in children for i in positions(c)}))
+
+    def value(node, tup):
+        key = (node, tuple(tup[i] for i in positions(node)))
+        if key not in memo:
+            memo[key] = compute(node, tup)
+        return memo[key]
+
+    def compute(node, tup):
+        if isinstance(node, Var):
+            return [one if k == tup[position[node.name]] else zero for k in range(dim)]
+        if isinstance(node, MapApply):
+            m = bundle.maps[node.map_name]
+            rows = [[lift(c) for c in row] for row in (m.power(-1) if node.power < 0 else m).rows]
+            v = value(node.child, tup)
+            for _ in range(abs(node.power)):
+                v = [sum((r[j] * v[j] for j in range(dim) if r[j] and v[j]), zero) for r in rows]
+            return v
+        args = [value(c, tup) for c in node.children]
+        out = [zero] * dim
+        for idx, vec in bundle.ops[node.op_name].constants.items():
+            coeff = one
+            for arg, i in zip(args, idx):
+                coeff = coeff * arg[i]
+            for k, c in enumerate(vec):
+                if coeff and c:
+                    out[k] = out[k] + coeff * lift(c)
+        return out
+
+    monomials = expand_identity(ident)
+
+    def evaluate(tup):
+        total = [zero] * dim
+        for coeff, node in monomials:
+            total = [t + coeff * x for t, x in zip(total, value(node, tup))]
+        return total
+
+    return evaluate

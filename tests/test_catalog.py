@@ -14,7 +14,6 @@ import pytest
 from bihomcheck.catalog import (
     AXIS_IDS,
     CATALOG_AXES,
-    complete_by_skew,
     entries,
     get_entry,
     sample_points,
@@ -52,6 +51,15 @@ def test_case_assignment():
     assert get_entry(26).case == "III"
 
 
+def numeric_completion(entry, point):
+    """The skew completion at one parameter point: the solver run on the
+    entry's given constants and maps specialised there."""
+    at = entry.bundle.eval_at(point)
+    return solve_skew_completion(
+        at.ops["br"].constants, entry.given_br_slots, at.maps["a"], at.maps["b"]
+    )
+
+
 class TestCompletion:
     def test_entry26_completion_values(self):
         e = get_entry(26)
@@ -75,13 +83,7 @@ class TestCompletion:
 
     def test_numeric_completion_at_points(self):
         e = get_entry(26)
-        sol = complete_by_skew(
-            e.bundle.ops["br"].constants,
-            e.given_br_slots,
-            e.bundle.maps["a"],
-            e.bundle.maps["b"],
-            {"k1": 3, "k2": 5},
-        )
+        sol = numeric_completion(e, {"k1": 3, "k2": 5})
         assert {k: tuple(c.text() for c in v) for k, v in sol.items()} == {
             (1, 0): ("0", "-1"),
             (1, 1): ("0", "0"),
@@ -106,13 +108,7 @@ class TestCompletion:
             unknown_dims += 1
             points = sample_points(entry, 5, seed=100 + entry_id)
             for point in points:
-                sol = complete_by_skew(
-                    entry.bundle.ops["br"].constants,
-                    entry.given_br_slots,
-                    entry.bundle.maps["a"],
-                    entry.bundle.maps["b"],
-                    point,
-                )
+                sol = numeric_completion(entry, point)
                 for slot in unknown:
                     stored = entry.completion.get(slot)
                     want = (
@@ -145,13 +141,7 @@ class TestCompletion:
         assert entry.completion is None
         point = sample_points(entry, 1, seed=3)[0]
         with pytest.raises(Inconsistent):
-            complete_by_skew(
-                entry.bundle.ops["br"].constants,
-                entry.given_br_slots,
-                entry.bundle.maps["a"],
-                entry.bundle.maps["b"],
-                point,
-            )
+            numeric_completion(entry, point)
 
     def test_symbolic_solver_matches_stored(self):
         e = get_entry(26)

@@ -1,6 +1,7 @@
 """Contract fuzzing of the command line: mutated bundle JSON and random .idl
-text, run through cli_main with check, identities, construct and dsl check,
-must end in exit 0, 1 or 2 and never raise."""
+text, run through cli_main with check, identities, construct, tensor, dsl
+check and the catalog commands, must end in exit 0, 1 or 2 and never
+raise."""
 
 from __future__ import annotations
 
@@ -152,7 +153,15 @@ COMMANDS = st.one_of(
         ),
         st.sampled_from([(), ("--allow-hypothesis-failures",)]),
     ).map(lambda t: ["construct", t[0][0], "{bundle}", "-o", "{out}", *t[0][1:], *t[1]]),
+    st.sampled_from(["bp-tbp", "pre-lie-poisson"]).map(
+        lambda k: ["tensor", "{bundle}", "{bundle}", "--kind", k, "-o", "{out}"]
+    ),
     st.just(["dsl", "check", "{idl}", "{bundle}"]),
+    st.tuples(
+        st.sampled_from(["26", "20,24", "25-26", "5-3", "27", "0", "x", ""]),
+        st.sampled_from([(), ("--mode", "sampled", "--samples", "1")]),
+    ).map(lambda t: ["catalog", "verify", "--entries", t[0], *t[1]]),
+    st.sampled_from(["1", "26", "27", "0", "-1", "x"]).map(lambda n: ["catalog", "show", n]),
 )
 
 

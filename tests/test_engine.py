@@ -12,12 +12,12 @@ import pytest
 from bihomcheck.catalog import entries, get_entry
 from bihomcheck.dsl import MapApply, OpApply, Var, parse_identity, print_identity
 from bihomcheck.engine import (
+    BoundIdentity,
     Counterexample,
     ExponentTuple,
     FIXED_EXPONENTS,
     Verdict,
     check_identity,
-    check_identity_sampled,
     instantiate_power_identity,
     merge,
 )
@@ -31,10 +31,18 @@ from bihomcheck.errors import (
 )
 from bihomcheck.linear import Vector
 from bihomcheck.scalars import Scalar, parse_scalar
-from bihomcheck.structures import IDENTITIES, REGISTRY, SUITES
+from bihomcheck.structures import (
+    IDENTITIES,
+    REGISTRY,
+    SUITES,
+    StructureDef,
+    check_definition,
+    commute_identity,
+    multiplicativity_identity,
+)
 
 from conftest import make_bundle
-from oracles import reference_eval
+from oracles import dense_evaluator, reference_eval
 
 
 def test_skew_passes_on_completed_bundle(entry26):
@@ -91,10 +99,15 @@ def test_bind_resolves_names_in_first_use_order(text, first):
     assert info.value.name == first
 
 
+def check_sampled(ident, bundle, points, identity_id="identity"):
+    """One law checked at parameter points by the runner of every sampled
+    check."""
+    defn = StructureDef(identity_id, (), (), (), ((identity_id, ident),))
+    return check_definition(defn, bundle, "sampled", points).verdict(identity_id)
+
+
 def test_sampled_leibniz_counterexample(entry26):
-    v = check_identity_sampled(
-        IDENTITIES["leibniz"], entry26, [{"k1": 3, "k2": 5}], "leibniz"
-    )
+    v = check_sampled(IDENTITIES["leibniz"], entry26, [{"k1": 3, "k2": 5}], "leibniz")
     assert v.status == "fail"
     assert v.counterexample.basis_tuple == (0, 0, 0)
     assert list(v.counterexample.residual) == ["0", "1"]
@@ -110,9 +123,9 @@ def test_sampled_point_must_satisfy_constraints():
         constraints=["(k1 - 1)*k2"],
     )
     with pytest.raises(ConstraintViolated):
-        check_identity_sampled(IDENTITIES["comm"], bundle, [{"k1": 2, "k2": 3}])
+        check_sampled(IDENTITIES["comm"], bundle, [{"k1": 2, "k2": 3}])
     # a point on the constraint variety is fine
-    v = check_identity_sampled(IDENTITIES["comm"], bundle, [{"k1": 1, "k2": 3}])
+    v = check_sampled(IDENTITIES["comm"], bundle, [{"k1": 1, "k2": 3}])
     assert v.passed
 
 
@@ -174,6 +187,21 @@ def assert_matches_reference(ident, bundle, identity_id):
     return verdict
 
 
+def assert_residuals_match_dense(ident, bundle, identity_id):
+    """BoundIdentity.residual equals the dense oracle's value at every basis
+    tuple; a singular map stops both."""
+    dense = dense_evaluator(ident, bundle)
+    try:
+        bound = BoundIdentity(ident, bundle)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            dense((0,) * len(ident.vars))
+        return
+    for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
+        got, want = bound.residual(tup).coords, dense(tup)
+        assert all(g == w for g, w in zip(got, want)), (identity_id, tup)
+
+
 # non-integer coordinates for the free parameters of a catalog entry
 POINT_VALUES = tuple(
     Fraction(n, d) for n, d in ((1, 3), (-2, 5), (7, 2), (5, 4), (-3, 7), (9, 8))
@@ -198,6 +226,13 @@ def rational_point(entry):
     raise AssertionError(f"no rational point for entry {entry.entry_id}")
 
 
+# the predicates of tbp as laws: map chains a(b(x)) and maps over op values
+TBP_PREDICATES = {
+    "commute(a,b)": commute_identity("a", "b"),
+    "multiplicative(a,br)": multiplicativity_identity("a", "br", 2),
+    "multiplicative(b,br)": multiplicativity_identity("b", "br", 2),
+}
+
 # the laws with negative map powers
 INVERSE_LAWS = {
     "power-fixed": IDENTITIES["power-fixed"],
@@ -211,7 +246,9 @@ def test_compiled_walk_matches_reference_on_catalog(entry_id):
     """Status, lex-first counterexample and residual text of the compiled
     evaluator equal those of the reference walk, on every catalog entry:
     over Q(params), and specialised at a point with non-integer coordinates,
-    where the op and map denominators are cleared to integers."""
+    where the op and map denominators are cleared to integers. At every
+    basis tuple the residual also equals the dense oracle's value, which
+    shares no kernel with the engine."""
     entry = get_entry(entry_id)
     bundle = entry.completed_bundle()
     laws = {
@@ -222,10 +259,21 @@ def test_compiled_walk_matches_reference_on_catalog(entry_id):
             | set(SUITES["thm25"].identities)
         )
     }
+    laws.update(TBP_PREDICATES)
     laws.update(INVERSE_LAWS)
     for case in (bundle, bundle.eval_at(rational_point(entry))):
         for identity_id, ident in laws.items():
             assert_matches_reference(ident, case, identity_id)
+            assert_residuals_match_dense(ident, case, identity_id)
+
+
+def test_compiled_walk_matches_dense_on_dim6(dim6_transposed):
+    """The tbp predicates and laws on a dim-6 Q-bundle, where ops and maps
+    have more than one nonzero coordinate per value, agree with the dense
+    oracle at every basis tuple."""
+    laws = {i: IDENTITIES[i] for i in REGISTRY["tbp"].identities}
+    for identity_id, ident in {**TBP_PREDICATES, **laws}.items():
+        assert_residuals_match_dense(ident, dim6_transposed, identity_id)
 
 
 def test_compiled_residual_text_on_rational_functions():
@@ -276,7 +324,7 @@ def test_terms_over_different_step_denominators(text, status):
 
 def test_sampled_needs_a_point(entry26):
     with pytest.raises(NoSamplePoints):
-        check_identity_sampled(IDENTITIES["comm"], entry26, [])
+        check_sampled(IDENTITIES["comm"], entry26, [])
 
 
 def test_merge_keeps_a_fail_without_counterexample():
@@ -304,10 +352,10 @@ def test_sampled_later_fail_beats_earlier_inapplicable():
         {"a": [["k1", "0"], ["0", "1"]]},
     )
     ident = parse_identity("forall x,y: br(a^-1(x), y) = 0")
-    v = check_identity_sampled(ident, bundle, [{"k1": 0}, {"k1": 2}], "law")
+    v = check_sampled(ident, bundle, [{"k1": 0}, {"k1": 2}], "law")
     assert v.status == "fail"
     assert v.counterexample.point == {"k1": Fraction(2)}
-    assert check_identity_sampled(ident, bundle, [{"k1": 0}], "law").status == "inapplicable"
+    assert check_sampled(ident, bundle, [{"k1": 0}], "law").status == "inapplicable"
 
 
 def test_cyc_of_cyc_is_three_times(entry26):

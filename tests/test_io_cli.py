@@ -80,6 +80,25 @@ class TestBundleFormat:
         save_bundle(bundle, path)
         assert load_bundle(path).canonical_dict() == bundle.canonical_dict()
 
+    def test_save_load_keeps_content_hash(self, tmp_path):
+        """Every completed catalog entry, each of its constraint-branch
+        bundles and the tensor squares of entries 20 and 26 hash the same
+        after a save and a load."""
+        from bihomcheck.catalog import entries, get_entry
+        from bihomcheck.construct import tensor_bundle
+
+        bundles = []
+        for entry in entries().values():
+            bundles.append(entry.completed_bundle())
+            bundles.extend(b for _desc, b in entry.branch_bundles())
+        for entry_id in (20, 26):
+            square = get_entry(entry_id).completed_bundle()
+            bundles.append(tensor_bundle(square, square, "bp-tbp"))
+        path = tmp_path / "b.json"
+        for bundle in bundles:
+            save_bundle(bundle, path)
+            assert load_bundle(path).content_hash() == bundle.content_hash()
+
     def test_trivial_bundle(self):
         bundle = bundle_from_dict(MINIMAL)
         assert bundle.space.dim == 1 and not bundle.ops and not bundle.maps
@@ -223,6 +242,55 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         if case.startswith("deep-"):
             assert err == "error: input nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "field, data",
+        [
+            ("basis", malformed(basis="ab")),
+            ("params", malformed(ring={"params": "k"})),
+            ("constraints", malformed(ring={"params": ["k1"], "constraints": "k1"})),
+            ("entries", malformed(ops={"mul": {"arity": 2, "entries": "ab"}})),
+            ("entry", malformed(ops={"mul": {"arity": 2, "entries": ["0011"]}})),
+            ("map", malformed(maps={"a": "ab"})),
+            ("map-row", malformed(maps={"a": ["10", "01"]})),
+        ],
+    )
+    def test_string_for_array_exit_two(self, field, data, tmp_path, capsys):
+        """A JSON string where the schema has an array is refused: iterated,
+        "ab" would read as the list ["a", "b"]."""
+        path = tmp_path / f"{field}.bundle"
+        path.write_text(json.dumps(data))
+        assert cli_main(["check", str(path), "--structure", "bihom-comm"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be a JSON array" in err
+
+    @pytest.mark.parametrize(
+        "a, report, code",
+        [
+            pytest.param([["1", "0"], ["1", "1"]], False, 2, id="residual"),
+            pytest.param([["1", "0"], ["1", "1"]], True, 2, id="residual-report"),
+            pytest.param([["1", "0"], ["0", "1"]], False, 0, id="pass"),
+            pytest.param([["1", "0"], ["0", "1"]], True, 2, id="pass-report"),
+        ],
+    )
+    def test_number_too_long_to_print_exit_two(self, a, report, code, tmp_path, capsys):
+        """3^10000 is short text but a 4772-digit value. Where it must be
+        printed, in the commute(a,b) residual of a non-commuting a or in the
+        bundle hash of a report, the check ends in a one-line error."""
+        data = malformed(
+            ops={"mul": {"arity": 2, "entries": []}, "br": {"arity": 2, "entries": []}},
+            maps={"a": a, "b": [["3^10000", "0"], ["0", "1"]]},
+            provenance={"name": "big"},
+        )
+        path = tmp_path / "big.bundle"
+        path.write_text(json.dumps(data))
+        argv = ["check", str(path), "--structure", "tbp"]
+        if report:
+            argv += ["--report", str(tmp_path / "r.json")]
+        assert cli_main(argv) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == "error: number too long to print (more than 4300 digits)\n"
 
     def test_unreadable_paths_exit_two(self, entry26_file, tmp_path, capsys):
         """A directory, a file that is not UTF-8 or a report path that is a

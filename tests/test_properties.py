@@ -24,13 +24,13 @@ from bihomcheck.linear import LinMap, MultiOp
 from bihomcheck.scalars import Scalar
 from bihomcheck.structures import (
     IDENTITIES,
-    check_compat_equivalence,
+    check_definition,
     check_structure,
     check_suite,
 )
 from bihomcheck.engine import check_identity
 
-from conftest import euler_map, make_bundle
+from conftest import COMPAT_FORMS, euler_map, make_bundle
 
 
 def scaling_map(bundle, c):
@@ -254,7 +254,8 @@ def test_compat_forms_agree_on_regular_commutative(star_pool):
     """The two compatibility forms produce identical verdicts on regular
     twisted-commutative bundles, including randomized star products."""
     for label, bundle in star_pool:
-        report = check_compat_equivalence(bundle)
+        report = check_definition(COMPAT_FORMS, bundle)
+        assert report.verdict("regular(a)").passed and report.verdict("regular(b)").passed
         a = report.verdict("np-compat-right").status
         b = report.verdict("np-compat-assoc").status
         assert a == b, label
@@ -266,7 +267,7 @@ def test_compat_forms_agree_on_regular_commutative(star_pool):
             idx = (rng.randrange(3), rng.randrange(3))
             constants[idx] = tuple(Scalar.rational(rng.randint(-2, 2)) for _ in range(3))
         bundle = qt.replace(ops={**qt.ops, "star": MultiOp(qt.space, (), 2, constants)})
-        report = check_compat_equivalence(bundle)
+        report = check_definition(COMPAT_FORMS, bundle)
         assert report.verdict("np-compat-right").status == report.verdict("np-compat-assoc").status
 
 

@@ -13,21 +13,21 @@ from bihomcheck.errors import (
     MissingMap,
     MissingOp,
     NoSamplePoints,
-    NotInvertible,
 )
 from bihomcheck.linear import LinMap, MultiOp
 from bihomcheck.scalars import Scalar
 from bihomcheck.structures import (
     IDENTITIES,
     REGISTRY,
-    check_compat_equivalence,
-    check_derivation,
+    StructureDef,
+    check_definition,
     check_involution,
     check_structure,
     check_suite,
+    derivation_identity,
 )
 
-from conftest import euler_map, make_bundle
+from conftest import COMPAT_FORMS, euler_map, make_bundle
 from oracles import classical_transposed_poisson, rational_constants
 
 
@@ -163,25 +163,35 @@ def test_overlap_plain_forms_inapplicable_on_singular_maps():
     assert report.verdict("overlap-mul-br-plain").status == "inapplicable"
 
 
+def derivation_report(bundle, map_name, op_names):
+    """The Leibniz rule of one map over the named ops, and the map's
+    commutation with both structure maps, as one definition."""
+    laws = tuple(
+        (f"derivation({map_name},{op})", derivation_identity(map_name, op, 2)) for op in op_names
+    )
+    preds = (("commute", map_name, "a"), ("commute", map_name, "b"))
+    return check_definition(StructureDef(f"derivation({map_name})", (), (), preds, laws), bundle)
+
+
 class TestDerivation:
     def test_truncated_derivative_fails_top_degree(self):
         """The plain derivative is NOT a derivation of a truncated product:
         D(t * t^3) = 0 but D(t)t^3 + tD(t^3) = 4t^3."""
         qt = truncated_polynomial_algebra(("t",), 4)
-        report = check_derivation(qt, "D", ["mul"])
+        report = derivation_report(qt, "D", ["mul"])
         assert report.verdict("derivation(D,mul)").status == "fail"
         assert report.verdict("derivation(D,mul)").counterexample.basis_tuple == (1, 3)
 
     def test_ideal_stable_derivation_passes(self):
         qt = truncated_polynomial_algebra(("t",), 4)
         bundle = qt.replace(maps={**qt.maps, "E": euler_map(qt)})
-        report = check_derivation(bundle, "E", ["mul"])
+        report = derivation_report(bundle, "E", ["mul"])
         assert report.passed
 
     def test_identity_map_is_not_a_derivation(self):
         qt = truncated_polynomial_algebra(("t",), 4)
         bundle = qt.replace(maps={**qt.maps, "I": LinMap.identity(qt.space, ())})
-        report = check_derivation(bundle, "I", ["mul"])
+        report = derivation_report(bundle, "I", ["mul"])
         v = report.verdict("derivation(I,mul)")
         assert v.status == "fail"
         assert v.counterexample.basis_tuple == (0, 0)
@@ -190,10 +200,10 @@ class TestDerivation:
     def test_zero_map_is_a_derivation(self):
         qt = truncated_polynomial_algebra(("t",), 4)
         bundle = qt.replace(maps={**qt.maps, "Z": LinMap.zero(qt.space, ())})
-        assert check_derivation(bundle, "Z", ["mul"]).passed
+        assert derivation_report(bundle, "Z", ["mul"]).passed
 
     def test_commutation_verdicts_included(self, euler_wronskian):
-        report = check_derivation(euler_wronskian, "E", ["mul", "br"])
+        report = derivation_report(euler_wronskian, "E", ["mul", "br"])
         ids = {v.identity for v in report.verdicts}
         assert {"commute(E,a)", "commute(E,b)"} <= ids
 
@@ -252,16 +262,15 @@ class TestCompatEquivalence:
         return pre_lie_from_derivation(qt, require=False)
 
     def test_derivative_star_bundle_agrees(self):
-        report = check_compat_equivalence(self.make_star_bundle())
+        report = check_definition(COMPAT_FORMS, self.make_star_bundle())
         assert report.verdict("np-compat-right").status == "pass"
         assert report.verdict("np-compat-assoc").status == "pass"
-        assert "agreement: true" in report.notes
+        assert report.verdict("comm").status == "pass"
 
     def test_zero_star_agrees(self):
         qt = truncated_polynomial_algebra(("t",), 3)
         bundle = qt.replace(ops={**qt.ops, "star": MultiOp(qt.space, (), 2, {})})
-        report = check_compat_equivalence(bundle)
-        assert report.passed and "agreement: true" in report.notes
+        assert check_definition(COMPAT_FORMS, bundle).passed
 
     def test_noncommutative_product_noted(self):
         bundle = make_bundle(
@@ -273,16 +282,16 @@ class TestCompatEquivalence:
             },
             {"a": [["1", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]},
         )
-        report = check_compat_equivalence(bundle)
-        assert any("hypothesis failure" in n for n in report.notes)
+        report = check_definition(COMPAT_FORMS, bundle)
+        assert report.verdict("comm").status == "fail"
 
     def test_requires_invertible_maps(self):
         from bihomcheck.catalog import get_entry
 
         e24 = get_entry(24).completed_bundle()
         bundle = e24.replace(ops={**e24.ops, "star": MultiOp(e24.space, e24.ring.params, 2, {})})
-        with pytest.raises(NotInvertible):
-            check_compat_equivalence(bundle)
+        report = check_definition(COMPAT_FORMS, bundle)
+        assert report.verdict("regular(b)").status == "fail"
 
     def test_agreement_over_random_stars(self):
         """The two compatibility forms give the same verdict on commutative
@@ -299,7 +308,7 @@ class TestCompatEquivalence:
                 )
             star = MultiOp(qt.space, (), 2, constants)
             bundle = qt.replace(ops={**qt.ops, "star": star})
-            report = check_compat_equivalence(bundle)
+            report = check_definition(COMPAT_FORMS, bundle)
             a = report.verdict("np-compat-right").status
             b = report.verdict("np-compat-assoc").status
             assert a == b
