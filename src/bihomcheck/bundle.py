@@ -61,7 +61,7 @@ class Ring:
 
 
 class AlgebraBundle:
-    __slots__ = ("space", "ring", "ops", "maps", "provenance")
+    __slots__ = ("space", "ring", "ops", "maps", "provenance", "_hash")
 
     def __init__(self, space: BasisSpace, ring: Ring, ops: dict, maps: dict, provenance=None):
         self.space = space
@@ -69,6 +69,7 @@ class AlgebraBundle:
         self.ops = dict(ops)
         self.maps = dict(maps)
         self.provenance = dict(provenance) if provenance else None
+        self._hash = None
         for name in (*self.ops, *self.maps):
             if not name.isidentifier() or name == "cyc":
                 raise ValueError(f"name {name!r} can not be written in .idl text")
@@ -174,10 +175,14 @@ class AlgebraBundle:
         return out
 
     def content_hash(self) -> str:
-        data = self.canonical_dict()
-        data.pop("provenance", None)
-        blob = json.dumps(data, sort_keys=True, ensure_ascii=False).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        """The hash of the canonical form without provenance, computed once
+        (a bundle is never changed after construction)."""
+        if self._hash is None:
+            data = self.canonical_dict()
+            data.pop("provenance", None)
+            blob = json.dumps(data, sort_keys=True, ensure_ascii=False).encode("utf-8")
+            self._hash = hashlib.sha256(blob).hexdigest()[:16]
+        return self._hash
 
     def label(self) -> str:
         if self.provenance and "name" in self.provenance:

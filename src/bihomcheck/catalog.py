@@ -4,7 +4,9 @@ implicit, and a verifier that produces a per-axiom report for each entry.
 
 The report columns are one StructureDef, CATALOG_AXES, run like every
 structure; verify_entry picks the cases (constraint branches, or sample
-points) whose verdicts engine.merge combines.
+points) whose verdicts engine.merge combines. sample_points is the
+package's one point sampler: `catalog verify` and `check --mode sampled`
+both draw with it.
 
 Completion convention: unlisted PRODUCT constants are zero; unlisted BRACKET
 constants are solved from the twisted skew-symmetry equations
@@ -32,8 +34,7 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .bundle import AlgebraBundle
-from .engine import checked_points
-from .errors import Inconsistent, UnknownEntry
+from .errors import Inconsistent, NoSamplePoints, UnknownEntry
 from .linear import LinMap, MultiOp, gauss_jordan
 from .rng import SplitRng
 from .scalars import Scalar, parse_scalar
@@ -262,35 +263,33 @@ def get_entry(entry_id: int) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-def sample_points(entry: CatalogEntry, count: int, seed: int) -> list:
-    """Parameter points satisfying the entry's constraints exactly: free
-    parameters get integers of magnitude <= 10, constrained ones are solved
-    through the stored branch substitutions."""
-    rng = SplitRng(seed).child(f"entry{entry.entry_id}")
-    params = entry.bundle.ring.params
-    points = []
-    branches = entry.branches or ({},)
-    attempts = 0
-    while len(points) < count and attempts < 1000 * count:
-        attempts += 1
-        subs = branches[len(points) % len(branches)]
-        remaining = [p for p in params if p not in subs]
+def sample_points(bundle: AlgebraBundle, count: int, rng: SplitRng, branches=()) -> list:
+    """Up to count (point, bundle.eval_at(point)) cases at parameter points
+    that satisfy the bundle's constraints exactly. Free parameters get
+    integers in [-10, 10]; each point in turn takes the next branch
+    substitution, which solves the parameters it names. A point where a
+    denominator vanishes is drawn again; drawing stops after 1000*count
+    points, so the caller checks that it got count cases."""
+    if count < 1:
+        raise NoSamplePoints()
+    params = bundle.ring.params
+    branches = branches or ({},)
+    cases = []
+    for _ in range(1000 * count):
+        if len(cases) == count:
+            break
+        subs = branches[len(cases) % len(branches)]
+        remaining = tuple(p for p in params if p not in subs)
         point = {p: Fraction(rng.randint(-10, 10)) for p in remaining}
         try:
             full = dict(point)
             for name, text in subs.items():
-                value = parse_scalar(text, tuple(remaining))
-                full[name] = value.eval(point)
-        except ZeroDivisionError:
+                full[name] = parse_scalar(text, remaining).eval(point)
+            if bundle.ring.check_point(full) is None:
+                cases.append((full, bundle.eval_at(full)))
+        except ZeroDivisionError:  # a denominator vanishes at the point
             continue
-        if entry.bundle.ring.check_point(full) is not None:
-            continue
-        points.append(full)
-    if len(points) < count:
-        raise Inconsistent(
-            f"could not sample {count} constraint-satisfying points for entry {entry.entry_id}"
-        )
-    return points
+    return cases
 
 
 def verify_entry(
@@ -316,9 +315,13 @@ def verify_entry(
             notes.append(f"symbolic check over {len(branches)} constraint branches")
         points, seed = None, None
     elif mode == "sampled":
-        bundle = entry.completed_bundle()
-        points = checked_points(bundle, sample_points(entry, samples, seed))
-        cases = ((point, bundle.eval_at(point)) for point in points)
+        rng = SplitRng(seed).child(f"entry{entry.entry_id}")
+        cases = sample_points(entry.completed_bundle(), samples, rng, entry.branches)
+        if len(cases) < samples:
+            raise Inconsistent(
+                f"could not sample {samples} constraint-satisfying points for entry {entry_id}"
+            )
+        points = [point for point, _ in cases]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     verdicts = definition_verdicts(CATALOG_AXES, cases)

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .bundle import AlgebraBundle
 from .catalog import entries as catalog_entries
-from .catalog import get_entry, summary_table, verify_all
+from .catalog import get_entry, sample_points, summary_table, verify_all
 from .construct import (
     TwistSpec,
     derivation_tbp,
@@ -28,8 +27,8 @@ from .construct import (
     ternary_from_product,
     yau_twist,
 )
-from .engine import ExponentTuple, check_identity
-from .errors import BihomError, DenominatorVanishes
+from .engine import check_identity
+from .errors import BihomError
 from .fileio import canonical_json, load_bundle, load_identity_file, save_bundle, save_report
 from .rng import SplitRng
 from .structures import SUITES, Report, check_power_suite, check_structure, check_suite
@@ -68,29 +67,6 @@ def _exit_code(overall: str) -> int:
     return {"pass": 0, "fail": 1}.get(overall, 2)
 
 
-def _sample_points(bundle: AlgebraBundle, samples: int, seed: int) -> list:
-    rng = SplitRng(seed).child("points")
-    params = bundle.ring.params
-    points = []
-    attempts = 0
-    while len(points) < samples:
-        attempts += 1
-        if attempts > 1000 * samples:
-            raise BihomError(
-                "could not sample constraint-satisfying points; "
-                "use `catalog verify` for catalog entries with branch data"
-            )
-        point = {p: Fraction(rng.randint(-10, 10)) for p in params}
-        if bundle.ring.check_point(point) is not None:
-            continue
-        try:
-            bundle.eval_at(point)
-        except DenominatorVanishes:
-            continue
-        points.append(point)
-    return points
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -99,14 +75,18 @@ def _sample_points(bundle: AlgebraBundle, samples: int, seed: int) -> list:
 def cmd_check(args) -> int:
     bundle = load_bundle(args.bundle)
     if args.mode == "sampled":
-        points = _sample_points(bundle, args.samples, args.seed)
+        rng = SplitRng(args.seed).child("points")
+        cases = sample_points(bundle, args.samples, rng)
+        if len(cases) < args.samples:
+            raise BihomError(
+                "could not sample constraint-satisfying points; "
+                "use `catalog verify` for catalog entries with branch data"
+            )
+        points = [point for point, _ in cases]
         report = check_structure(args.structure, bundle, "sampled", points, seed=args.seed)
     else:
         report = check_structure(args.structure, bundle, "symbolic")
-    _print_report(report)
-    if args.report:
-        save_report(report, args.report, bundle.content_hash())
-    return _exit_code(report.overall)
+    return _finish(report, args.report, bundle)
 
 
 def cmd_identities(args) -> int:
@@ -118,20 +98,26 @@ def cmd_identities(args) -> int:
         report = check_power_suite(bundle, exps, seed=args.seed)
     else:
         report = check_suite(args.set, bundle)
+    return _finish(report, args.report, bundle)
+
+
+def _finish(report: Report, path, bundle: AlgebraBundle) -> int:
+    """Print the report, save it to path if one is given, and return the
+    exit code."""
     _print_report(report)
-    if args.report:
-        save_report(report, args.report, bundle.content_hash())
+    if path:
+        save_report(report, path, bundle.content_hash())
     return _exit_code(report.overall)
 
 
-def _parse_exponents(text: str) -> ExponentTuple:
+def _parse_exponents(text: str) -> tuple:
     try:
         values = [int(x) for x in text.split(",")]
     except ValueError:
         values = []
     if len(values) != 8:
         raise BihomError(f"bad exponent tuple {text!r} (want eight integers m,n,l,s,p,q,k,t)")
-    return ExponentTuple.from_seq(values)
+    return tuple(values)
 
 
 def _parse_twist(value: str) -> TwistSpec:

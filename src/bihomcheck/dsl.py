@@ -16,9 +16,11 @@ a bundle only at evaluation time.
 
 An identity is stored as a flat sum of integer-weighted monomial trees: sums
 appearing inside call arguments are distributed out (maps are linear and ops
-multilinear, so this is exact). Each monomial must mention every declared
-variable exactly once, which is what licenses deciding an identity on basis
-tuples alone; the validator enforces this, expanding cyclic sums first.
+multilinear, so this is exact). A cyclic sum is a term of the identity (or
+of another cyclic sum), never a call argument. Each monomial must mention
+every declared variable exactly once, which is what licenses deciding an
+identity on basis tuples alone; the validator enforces this on the
+monomials of expand_identity's cyclic expansion.
 """
 
 from __future__ import annotations
@@ -103,13 +105,7 @@ def _expand_signed(coeff: int, node: Node):
 
 def expand_identity(ident: Identity) -> list:
     """All (coeff, cyc-free monomial) pairs of the identity."""
-    out = []
-    for coeff, node in ident.terms:
-        if isinstance(node, CycSum):
-            out.extend(_expand_signed(coeff, node))
-        else:
-            out.append((coeff, node))
-    return out
+    return [m for coeff, node in ident.terms for m in _expand_signed(coeff, node)]
 
 
 def _count_vars(node: Node, counts: dict):
@@ -128,12 +124,7 @@ def validate_linearity(ident: Identity):
     """Every declared variable must occur exactly once in every fully
     cyc-expanded monomial."""
     for index, (coeff, node) in enumerate(ident.terms):
-        monomials = (
-            [n for _, n in _expand_signed(coeff, node)]
-            if isinstance(node, CycSum)
-            else [node]
-        )
-        for mono in monomials:
+        for _, mono in _expand_signed(coeff, node):
             counts: dict = {}
             _count_vars(mono, counts)
             for v in ident.vars:
@@ -216,6 +207,7 @@ class _IdentityParser:
 
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
+        self.call_depth = 0  # cyc sums are terms of an identity, never arguments
 
     def parse_identity(self) -> Identity:
         ident = self._identity()
@@ -291,6 +283,8 @@ class _IdentityParser:
         self.toks.next()
         name = tok[1]
         if name == "cyc":
+            if self.call_depth:
+                raise IdentitySyntaxError(tok[2], "cyc is not allowed inside a call")
             return [self._cyc(tok[2])]
         power = None
         if self.toks.peek()[0] == "^":
@@ -329,10 +323,12 @@ class _IdentityParser:
 
     def _call(self, name: str, power, pos: int) -> list:
         self.toks.expect("(")
+        self.call_depth += 1
         arg_lists = [self._expr()]
         while self.toks.peek()[0] == ",":
             self.toks.next()
             arg_lists.append(self._expr())
+        self.call_depth -= 1
         self.toks.expect(")")
         if len(arg_lists) == 1:
             # unary call: a map application, linear in its argument

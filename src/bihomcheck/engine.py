@@ -2,7 +2,9 @@
 
 check_identity is the package's one decision procedure: every law, read from
 a .idl file or written as text from names and exponents (structures, the
-templates below), is parsed by dsl.parse_identity and decided here.
+templates below), is parsed by dsl.parse_identity and decided here. The
+templates take their eight exponents (m, n, l, s, p, q, k, t) as a plain
+tuple, which is also how report ids print them.
 
 The linearity invariant of the DSL (each declared variable exactly once per
 monomial) makes an identity multilinear in its variables, so it vanishes on
@@ -328,34 +330,13 @@ def merge(cases: Sequence[tuple]) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
-    """The eight free integer exponents of the two-parameter identity family."""
-
-    m: int = 0
-    n: int = 0
-    l: int = 0
-    s: int = 0
-    p: int = 0
-    q: int = 0
-    k: int = 0
-    t: int = 0
-
-    @classmethod
-    def from_seq(cls, seq) -> "ExponentTuple":
-        m, n, l, s, p, q, k, t = seq
-        return cls(m, n, l, s, p, q, k, t)
-
-    def as_tuple(self):
-        return (self.m, self.n, self.l, self.s, self.p, self.q, self.k, self.t)
+# collapses the second template to its fixed instance, the law
+# "power-fixed" of data/suites/eq3.3.idl
+FIXED_EXPONENTS = (-2, 0, -1, -1, -2, 0, -1, -1)
 
 
-# the substitution that collapses the second template to its fixed instance
-FIXED_EXPONENTS = ExponentTuple(m=-2, n=0, l=-1, s=-1, p=-2, q=0, k=-1, t=-1)
-
-
-def _power_family_first(e: ExponentTuple) -> Identity:
-    m, n, l, s, p, q, k, t = e.as_tuple()
+def _power_family_first(exps: tuple) -> Identity:
+    m, n, l, s, p, q, k, t = exps
     return parse_identity(
         "forall y,v,u,z:"
         f" br(mul(a^{p}(b^{q+2}(y)), a^{l+1}(b^{s+2}(v))),"
@@ -368,8 +349,8 @@ def _power_family_first(e: ExponentTuple) -> Identity:
     )
 
 
-def _power_family_second(e: ExponentTuple) -> Identity:
-    m, n, l, s, p, q, k, t = e.as_tuple()
+def _power_family_second(exps: tuple) -> Identity:
+    m, n, l, s, p, q, k, t = exps
     return parse_identity(
         "forall x,y,u,v:"
         f" mul(a^{p+2}(b^{q+2}(x)),"
@@ -382,17 +363,11 @@ def _power_family_second(e: ExponentTuple) -> Identity:
     )
 
 
-def instantiate_power_identity(which: str, exps: ExponentTuple | None = None) -> Identity:
-    """One of the two exponent-template identities, or the fixed instance.
-
-    which: "eq31" (first template), "eq32" (second template), "eq33" (the
-    second template at the fixed exponent substitution; any exps argument is
-    ignored for it)."""
+def instantiate_power_identity(which: str, exps: tuple = (0,) * 8) -> Identity:
+    """The first ("eq31") or second ("eq32") exponent-template identity at
+    an exponent tuple."""
     if which == "eq31":
-        return _power_family_first(exps or ExponentTuple())
+        return _power_family_first(exps)
     if which == "eq32":
-        return _power_family_second(exps or ExponentTuple())
-    if which == "eq33":
-        return _power_family_second(FIXED_EXPONENTS)
+        return _power_family_second(exps)
     raise ValueError(f"unknown template {which!r}")
-

@@ -13,8 +13,11 @@ Conventions (fixed once, used everywhere):
     d of their denominators, and a kernel's result is the image times the
     product of the denominators involved. Over Q(params) the coefficients are
     the Scalars themselves and every denominator is 1. Within each output
-    coordinate the kernels add their terms in the order of the dense loops
-    they replace, so unreduced polynomial fractions print as before;
+    coordinate the kernels add their terms in ascending summation index, so
+    unreduced polynomial fractions print the same on every path;
+  * LinMap._apply is the one matrix product: the engine's walk, compose
+    (and so power) run it on sparse columns, and tensor_map forms the
+    Kronecker product of the same cleared columns;
   * tensor bases are ordered row-major (left factor outer), labels joined
     with a literal "⊗".
 
@@ -91,12 +94,6 @@ class Vector:
     def zero(cls, space: BasisSpace, params: tuple) -> "Vector":
         z = Scalar.zero(params)
         return cls(space, params, (z,) * space.dim)
-
-    @classmethod
-    def basis(cls, space: BasisSpace, i: int, params: tuple) -> "Vector":
-        coords = [Scalar.zero(params)] * space.dim
-        coords[i] = Scalar.one(params)
-        return cls(space, params, coords)
 
     @classmethod
     def from_values(cls, space: BasisSpace, params: tuple, values: dict, d: int) -> "Vector":
@@ -207,20 +204,12 @@ class LinMap:
         )
 
     @classmethod
-    def zero(cls, space: BasisSpace, params: tuple) -> "LinMap":
-        zero = Scalar.zero(params)
-        return cls(space, params, [[zero] * space.dim for _ in range(space.dim)])
-
-    @classmethod
     def from_columns(cls, space: BasisSpace, params: tuple, cols) -> "LinMap":
         return cls(
             space,
             params,
             [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)],
         )
-
-    def column(self, j: int) -> Vector:
-        return Vector(self.space, self.params, [self.rows[i][j] for i in range(self.space.dim)])
 
     def cleared(self) -> tuple:
         """(d, columns): columns[j] is the sparse value of column j over the
@@ -253,21 +242,14 @@ class LinMap:
         return {i: out[i] for i in sorted(out) if out[i]}
 
     def compose(self, other: "LinMap") -> "LinMap":
-        """self after other (right-to-left)."""
+        """self after other (right-to-left): _apply on each of other's
+        columns."""
         _same_space(self, other)
-        n = self.space.dim
-        zero = Scalar.zero(self.params)
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                a = self.rows[i][k]
-                if a.is_zero():
-                    continue
-                for j in range(n):
-                    b = other.rows[k][j]
-                    if not b.is_zero():
-                        rows[i][j] = rows[i][j] + a * b
-        return LinMap(self.space, self.params, rows)
+        d, columns = other.cleared()
+        d *= self.cleared()[0]
+        return _from_sparse_columns(
+            self.space, self.params, [self._apply(c) for c in columns], d
+        )
 
     def inverse(self) -> "LinMap":
         n = self.space.dim
@@ -440,11 +422,6 @@ class MultiOp:
 
     __hash__ = None
 
-    def is_zero(self) -> bool:
-        return all(
-            all(c.is_zero() for c in vec) for vec in self.constants.values()
-        )
-
     def map_scalars(self, fn, params: tuple) -> "MultiOp":
         """The op over params whose structure constants are fn of this op's."""
         constants = {
@@ -462,20 +439,21 @@ def tensor_space(a: BasisSpace, b: BasisSpace) -> BasisSpace:
 
 
 def tensor_map(ma: LinMap, mb: LinMap) -> LinMap:
+    """Column j1*n + j2, n the dimension of mb's space, is the Kronecker
+    product of column j1 of ma and column j2 of mb."""
     if ma.params != mb.params:
         raise RingMismatch(f"{ma.params} vs {mb.params}")
-    space = tensor_space(ma.space, mb.space)
-    da, db = ma.space.dim, mb.space.dim
-    zero = Scalar.zero(ma.params)
-    rows = [[zero] * (da * db) for _ in range(da * db)]
-    for i1 in range(da):
-        for j1 in range(da):
-            a = ma.rows[i1][j1]
-            if a.is_zero():
-                continue
-            for i2 in range(db):
-                for j2 in range(db):
-                    b = mb.rows[i2][j2]
-                    if not b.is_zero():
-                        rows[i1 * db + i2][j1 * db + j2] = a * b
-    return LinMap(space, ma.params, rows)
+    (da, cols_a), (db, cols_b) = ma.cleared(), mb.cleared()
+    n = mb.space.dim
+    columns = [
+        {i1 * n + i2: a * b for i1, a in ca.items() for i2, b in cb.items()}
+        for ca in cols_a
+        for cb in cols_b
+    ]
+    return _from_sparse_columns(tensor_space(ma.space, mb.space), ma.params, columns, da * db)
+
+
+def _from_sparse_columns(space: BasisSpace, params: tuple, columns, d: int) -> LinMap:
+    """The map whose column j is the sparse value columns[j] over d."""
+    cols = [Vector.from_values(space, params, c, d).coords for c in columns]
+    return LinMap.from_columns(space, params, cols)

@@ -252,11 +252,6 @@ class Scalar:
         return cls(p.params, None, p, Poly.const(p.params, 1))
 
     @classmethod
-    def ratio(cls, num: Poly, den: Poly) -> "Scalar":
-        num._check(den)
-        return _normalize(num.params, num, den)
-
-    @classmethod
     def var(cls, params: tuple, name: str) -> "Scalar":
         return cls.from_poly(Poly.var(params, name))
 

@@ -30,7 +30,6 @@ from .bundle import AlgebraBundle
 from .dsl import Identity, parse_identity, parse_identity_file
 from .engine import (
     FIXED_EXPONENTS,
-    ExponentTuple,
     Verdict,
     check_identity,
     checked_points,
@@ -236,12 +235,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return self.overall == "pass"
-
-    def verdict(self, identity_id: str) -> Verdict:
-        for v in self.verdicts:
-            if v.identity == identity_id:
-                return v
-        raise KeyError(identity_id)
 
     def to_dict(self) -> dict:
         out = {
@@ -491,20 +484,19 @@ def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
 
 def check_power_suite(
     bundle: AlgebraBundle,
-    exponent_tuples: Sequence[ExponentTuple] | None = None,
+    exponent_tuples: Sequence[tuple] | None = None,
     seed: int = 0,
 ) -> Report:
     """The two exponent-template identities on a default (or given) grid of
-    exponent tuples, plus the fixed instance. Inapplicable on bundles whose
-    maps are not invertible (the templates use negative powers)."""
+    exponent tuples (m, n, l, s, p, q, k, t), plus the fixed instance.
+    Inapplicable on bundles whose maps are not invertible (the templates use
+    negative powers)."""
     if exponent_tuples is None:
         rng = SplitRng(seed).child("power-suite")
-        exponent_tuples = [ExponentTuple(), FIXED_EXPONENTS]
-        exponent_tuples += [
-            ExponentTuple.from_seq([rng.randint(-2, 2) for _ in range(8)]) for _ in range(8)
-        ]
+        exponent_tuples = [(0,) * 8, FIXED_EXPONENTS]
+        exponent_tuples += [tuple(rng.randint(-2, 2) for _ in range(8)) for _ in range(8)]
     laws = [
-        (f"{tag}@{exps.as_tuple()}", instantiate_power_identity(which, exps))
+        (f"{tag}@{exps}", instantiate_power_identity(which, exps))
         for exps in exponent_tuples
         for which, tag in (("eq31", "power-1"), ("eq32", "power-2"))
     ]

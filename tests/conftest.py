@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bihomcheck.bundle import AlgebraBundle, Ring
-from bihomcheck.linear import BasisSpace, LinMap, MultiOp
+from bihomcheck.linear import BasisSpace, LinMap, MultiOp, Vector
 from bihomcheck.scalars import Scalar, parse_scalar
 from bihomcheck.structures import StructureDef
 
@@ -18,6 +18,45 @@ COMPAT_FORMS = StructureDef(
     (("regular", "a"), ("regular", "b")),
     ("np-compat-right", "np-compat-assoc", "comm"),
 )
+
+
+def basis_vector(space, i, params):
+    """The i-th basis vector of space over params."""
+    coords = [Scalar.zero(params)] * space.dim
+    coords[i] = Scalar.one(params)
+    return Vector(space, params, coords)
+
+
+def zero_map(space, params):
+    zero = Scalar.zero(params)
+    return LinMap(space, params, [[zero] * space.dim for _ in range(space.dim)])
+
+
+def column(m, j):
+    """Column j of a LinMap, the image of basis vector j."""
+    return Vector(m.space, m.params, [row[j] for row in m.rows])
+
+
+def op_is_zero(op):
+    return all(c.is_zero() for vec in op.constants.values() for c in vec)
+
+
+def verdict(report, identity_id):
+    """The verdict of a report with the given identity id."""
+    matches = [v for v in report.verdicts if v.identity == identity_id]
+    if not matches:
+        raise KeyError(identity_id)
+    return matches[0]
+
+
+def entry_cases(entry, count, seed):
+    """(point, specialised bundle) cases of a catalog entry, drawn as
+    `catalog verify --mode sampled --seed seed` draws them."""
+    from bihomcheck.catalog import sample_points
+    from bihomcheck.rng import SplitRng
+
+    rng = SplitRng(seed).child(f"entry{entry.entry_id}")
+    return sample_points(entry.completed_bundle(), count, rng, entry.branches)
 
 
 def make_bundle(labels, params, ops, maps, constraints=(), name=None):

@@ -9,7 +9,11 @@ as the engine's residual, so the residual texts of the two must be equal
 another numerator/denominator pair). dense_evaluator is the same walk on dense
 coordinate lists with its own loops over matrix rows and stored constants,
 so it checks the sparse kernels that reference_eval shares with the engine;
-its values are compared by equality, not by text."""
+its values are compared by equality, not by text. dense_product,
+dense_power and dense_kronecker are plain loops over matrix rows that add
+each entry's terms from zero in ascending summation index, the order of the
+kernel behind LinMap.compose, power and tensor_map, so their results must
+equal the library's by value and by printed text."""
 
 from __future__ import annotations
 
@@ -192,3 +196,55 @@ def dense_evaluator(ident, bundle):
         return total
 
     return evaluate
+
+
+def dense_product(left, right, zero):
+    """The product of two square matrices given as row lists: entry (i, j)
+    is zero + left[i][k] * right[k][j] over k = 0, 1, ..., skipping zero
+    factors."""
+    n = len(left)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                if left[i][k] and right[k][j]:
+                    acc = acc + left[i][k] * right[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def dense_power(m, k):
+    """The rows of the LinMap m to the power k, multiplied by dense_product
+    in LinMap.power's square-and-multiply order; a negative power starts
+    from the rows of m.power(-1) (the inverse is not under test here)."""
+    zero, one = Scalar.zero(m.params), Scalar.one(m.params)
+    base, n = (m.power(-1).rows if k < 0 else m.rows), abs(k)
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else dense_product(result, base, zero)
+        n >>= 1
+        if n:
+            base = dense_product(base, base, zero)
+    if result is None:
+        size = len(m.rows)
+        return [[one if i == j else zero for j in range(size)] for i in range(size)]
+    return [list(row) for row in result]
+
+
+def dense_kronecker(left, right, zero):
+    """The Kronecker product of two square row lists, left factor outer:
+    entry (i1*n + i2, j1*n + j2) is left[i1][j1] * right[i2][j2]."""
+    n = len(right)
+    size = len(left) * n
+    out = [[zero] * size for _ in range(size)]
+    for i1, row_a in enumerate(left):
+        for j1, a in enumerate(row_a):
+            for i2, row_b in enumerate(right):
+                for j2, b in enumerate(row_b):
+                    if a and b:
+                        out[i1 * n + i2][j1 * n + j2] = a * b
+    return out

@@ -27,6 +27,8 @@ from bihomcheck.linear import Vector
 from bihomcheck.rng import SplitRng
 from bihomcheck.structures import check_suite, definition_verdicts
 
+from conftest import column, entry_cases, make_bundle, verdict
+
 
 def test_all_entries_present():
     assert sorted(entries()) == list(range(1, 27))
@@ -106,8 +108,7 @@ class TestCompletion:
             if not unknown:
                 continue
             unknown_dims += 1
-            points = sample_points(entry, 5, seed=100 + entry_id)
-            for point in points:
+            for point, _ in entry_cases(entry, 5, seed=100 + entry_id):
                 sol = numeric_completion(entry, point)
                 for slot in unknown:
                     stored = entry.completion.get(slot)
@@ -125,13 +126,12 @@ class TestCompletion:
         solved point, for every basis pair."""
         for entry_id in (22, 23, 24, 25, 26):
             entry = get_entry(entry_id)
-            point = sample_points(entry, 1, seed=7 + entry_id)[0]
-            bundle = entry.completed_bundle().eval_at(point)
+            [(point, bundle)] = entry_cases(entry, 1, seed=7 + entry_id)
             br, a, b = bundle.ops["br"], bundle.maps["a"], bundle.maps["b"]
             for i in range(2):
                 for j in range(2):
-                    lhs = br.apply([b.column(i), a.column(j)])
-                    rhs = br.apply([b.column(j), a.column(i)])
+                    lhs = br.apply([column(b, i), column(a, j)])
+                    rhs = br.apply([column(b, j), column(a, i)])
                     assert (lhs + rhs).is_zero(), (entry_id, i, j)
 
     def test_unsolvable_completion_raises(self):
@@ -139,7 +139,7 @@ class TestCompletion:
         completion at generic constraint points."""
         entry = get_entry(21)
         assert entry.completion is None
-        point = sample_points(entry, 1, seed=3)[0]
+        [(point, _)] = entry_cases(entry, 1, seed=3)
         with pytest.raises(Inconsistent):
             numeric_completion(entry, point)
 
@@ -169,7 +169,7 @@ class TestVerification:
 
     def test_entry1_commute_discrepancy(self):
         report = verify_entry(1, "symbolic")
-        v = report.verdict("commute(a,b)")
+        v = verdict(report, "commute(a,b)")
         assert v.status == "fail"
         assert v.counterexample.basis_tuple == (0,)
         assert list(v.counterexample.residual) == ["0", "k1 - k2"]
@@ -177,7 +177,7 @@ class TestVerification:
 
     def test_entry6_needs_unprinted_constraint(self):
         report = verify_entry(6, "symbolic")
-        assert report.verdict("assoc").status == "fail"
+        assert verdict(report, "assoc").status == "fail"
         assert get_entry(6).status == "report-only"
 
     def test_asserted_pass_entries_pass(self):
@@ -203,10 +203,16 @@ class TestVerification:
         report = verify_entry(16, "symbolic")
         assert any("branches" in n for n in report.notes)
 
+    def test_sampled_report_points_are_the_drawn_cases(self):
+        for entry_id in (16, 20, 26):
+            report = verify_entry(entry_id, "sampled", samples=3, seed=2)
+            drawn = entry_cases(get_entry(entry_id), 3, seed=2)
+            assert report.points == [point for point, _ in drawn]
+
     def test_constrained_sampling_exact(self):
         for entry_id in (16, 17, 20, 21, 22, 23):
             entry = get_entry(entry_id)
-            for point in sample_points(entry, 4, seed=5):
+            for point, _ in entry_cases(entry, 4, seed=5):
                 assert entry.bundle.ring.check_point(point) is None
 
 
@@ -243,6 +249,18 @@ class TestAggregate:
                 continue
             report = check_suite("thm25", entry.completed_bundle())
             assert report.passed, entry_id
+
+
+def test_sampler_redraws_vanishing_denominators():
+    """A point where a coefficient's denominator vanishes is drawn again; the
+    other draws keep their order."""
+    bundle = make_bundle(["e1", "e2"], ("k",), {}, {"a": [["1/k", "0"], ["0", "1"]]})
+    rng = SplitRng(4).child("t")
+    raw = [rng.randint(-10, 10) for _ in range(40)]
+    assert 0 in raw
+    cases = sample_points(bundle, 30, SplitRng(4).child("t"))
+    assert [point["k"] for point, _ in cases] == [k for k in raw if k != 0][:30]
+    assert all(not specialised.ring.params for _, specialised in cases)
 
 
 def test_split_rng_is_deterministic_and_splittable():

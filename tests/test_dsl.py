@@ -87,6 +87,18 @@ def test_cyc_expansion_checked_for_linearity():
         parse_identity("forall x,y: cyc(x,y){ mul(x, x) } = 0")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("forall x,y,z: mul(cyc(x,y){ br(x,y) }, z) = 0", 18),
+        ("forall x: a(cyc(x){x}) = 0", 12),
+    ],
+)
+def test_cyc_inside_a_call_is_a_syntax_error(text, position):
+    with pytest.raises(IdentitySyntaxError, match=f"at position {position}: cyc"):
+        parse_identity(text)
+
+
 def test_syntax_error_position():
     with pytest.raises(IdentitySyntaxError):
         parse_identity("forall x,: a(x) = 0")

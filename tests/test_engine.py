@@ -14,7 +14,6 @@ from bihomcheck.dsl import MapApply, OpApply, Var, parse_identity, print_identit
 from bihomcheck.engine import (
     BoundIdentity,
     Counterexample,
-    ExponentTuple,
     FIXED_EXPONENTS,
     Verdict,
     check_identity,
@@ -37,11 +36,12 @@ from bihomcheck.structures import (
     SUITES,
     StructureDef,
     check_definition,
+    check_power_suite,
     commute_identity,
     multiplicativity_identity,
 )
 
-from conftest import make_bundle
+from conftest import basis_vector, make_bundle, verdict
 from oracles import dense_evaluator, reference_eval
 
 
@@ -103,7 +103,7 @@ def check_sampled(ident, bundle, points, identity_id="identity"):
     """One law checked at parameter points by the runner of every sampled
     check."""
     defn = StructureDef(identity_id, (), (), (), ((identity_id, ident),))
-    return check_definition(defn, bundle, "sampled", points).verdict(identity_id)
+    return verdict(check_definition(defn, bundle, "sampled", points), identity_id)
 
 
 def test_sampled_leibniz_counterexample(entry26):
@@ -150,7 +150,7 @@ def test_basis_sufficiency(entry26):
 def test_counterexample_is_lex_minimal(entry26_zero_forced):
     ident = IDENTITIES["skew"]
     verdict = check_identity(ident, entry26_zero_forced)
-    basis = [Vector.basis(entry26_zero_forced.space, i, entry26_zero_forced.ring.params) for i in range(2)]
+    basis = [basis_vector(entry26_zero_forced.space, i, entry26_zero_forced.ring.params) for i in range(2)]
     failures = []
     for tup in itertools.product(range(2), repeat=2):
         value = reference_eval(
@@ -164,7 +164,7 @@ def test_counterexample_is_lex_minimal(entry26_zero_forced):
 def reference_verdict(ident, bundle, identity_id):
     """The plain lex walk over reference_eval, with no compilation."""
     params = bundle.ring.params
-    basis = [Vector.basis(bundle.space, i, params) for i in range(bundle.space.dim)]
+    basis = [basis_vector(bundle.space, i, params) for i in range(bundle.space.dim)]
     for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
         try:
             residual = reference_eval(
@@ -237,7 +237,7 @@ TBP_PREDICATES = {
 INVERSE_LAWS = {
     "power-fixed": IDENTITIES["power-fixed"],
     "eq31-fixed": instantiate_power_identity("eq31", FIXED_EXPONENTS),
-    "eq32-mixed": instantiate_power_identity("eq32", ExponentTuple(1, -1, 2, 0, -2, 1, 0, 1)),
+    "eq32-mixed": instantiate_power_identity("eq32", (1, -1, 2, 0, -2, 1, 0, 1)),
 }
 
 
@@ -377,14 +377,21 @@ class TestPowerTemplates:
         first = ident.terms[0][1]
         assert first.children[0].children[0] == MapApply("b", 2, Var("y"))
 
-    def test_fixed_instance_matches_template(self):
-        assert instantiate_power_identity("eq32", FIXED_EXPONENTS) == instantiate_power_identity("eq33")
+    def test_fixed_instance_matches_template(self, entry26):
+        """The lemma31 suite names each law by its exponent tuple, and the
+        template at the fixed tuple decides as the fixed instance does."""
+        report = check_power_suite(entry26, [FIXED_EXPONENTS])
+        fixed = "(-2, 0, -1, -1, -2, 0, -1, -1)"
+        assert [v.identity for v in report.verdicts] == [
+            f"power-1@{fixed}", f"power-2@{fixed}", "power-fixed"
+        ]
+        assert report.verdicts[1].status == report.verdicts[2].status == "pass"
 
     def test_fixed_instance_matches_handwritten_text(self):
-        assert instantiate_power_identity("eq33") == IDENTITIES["power-fixed"]
+        assert instantiate_power_identity("eq32", FIXED_EXPONENTS) == IDENTITIES["power-fixed"]
 
     def test_first_template_passes_on_entry26(self, entry26):
-        for exps in (ExponentTuple(), FIXED_EXPONENTS, ExponentTuple(1, -1, 2, 0, -2, 1, 0, 1)):
+        for exps in ((0,) * 8, FIXED_EXPONENTS, (1, -1, 2, 0, -2, 1, 0, 1)):
             for which in ("eq31", "eq32"):
                 v = check_identity(instantiate_power_identity(which, exps), entry26)
                 assert v.passed, (which, exps)
@@ -393,13 +400,14 @@ class TestPowerTemplates:
         from bihomcheck.catalog import get_entry
 
         e24 = get_entry(24).completed_bundle()  # its second structure map is singular
-        v = check_identity(instantiate_power_identity("eq33"), e24, "power-fixed")
+        v = check_identity(IDENTITIES["power-fixed"], e24, "power-fixed")
         assert v.status == "inapplicable"
         assert "invertible" in v.reason or "determinant" in v.reason
 
     def test_unknown_template(self):
-        with pytest.raises(ValueError):
-            instantiate_power_identity("eq99")
+        for which in ("eq33", "eq99"):
+            with pytest.raises(ValueError):
+                instantiate_power_identity(which)
 
 
 def test_verdict_serialization(entry26_zero_forced):

@@ -1,7 +1,7 @@
 """Source hygiene of the package: every imported name is used, every public
-function and class is used by the program, only the DSL module builds
-identity trees (everything else states a law as .idl text), and every method
-the benchmark tracer patches still exists."""
+function, class and method is used by the program, only the DSL module
+builds identity trees (everything else states a law as .idl text), and every
+method the benchmark tracer patches still exists."""
 
 from __future__ import annotations
 
@@ -54,19 +54,29 @@ def test_scan_sees_an_unused_import():
     ]
 
 
-def names_used(tree, skip=None) -> set:
-    """Every name and attribute read in tree, outside the subtree skip."""
-    out, stack = set(), [tree]
+def nodes_outside(tree, skip=None):
+    """Every node of tree outside the subtree skip."""
+    stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def names_used(tree, skip=None) -> set:
+    """Every name and attribute read in tree, outside the subtree skip."""
+    out = set()
+    for node in nodes_outside(tree, skip):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
     return out
+
+
+def attributes_read(tree, skip=None) -> set:
+    return {n.attr for n in nodes_outside(tree, skip) if isinstance(n, ast.Attribute)}
 
 
 def unused_definitions(package: dict, others) -> list:
@@ -93,10 +103,9 @@ UNUSED_ALLOWED = {
 }
 
 
-def test_public_definitions_are_used():
-    """Every public function and class is used by the package, the benchmark
-    (perfbench/) or the scripts, so src/ holds no second entry point kept
-    only for tests."""
+def program_sources() -> tuple:
+    """({file name: source} of the package, [sources of perfbench/ and
+    scripts/])."""
     root = Path(__file__).resolve().parents[1]
     package = {p.name: p.read_text(encoding="utf-8") for p in package_sources()}
     others = [
@@ -104,7 +113,14 @@ def test_public_definitions_are_used():
         for folder in ("perfbench", "scripts")
         for p in sorted((root / folder).glob("*.py"))
     ]
-    assert unused_definitions(package, others) == sorted(UNUSED_ALLOWED)
+    return package, others
+
+
+def test_public_definitions_are_used():
+    """Every public function and class is used by the package, the benchmark
+    (perfbench/) or the scripts, so src/ holds no second entry point kept
+    only for tests."""
+    assert unused_definitions(*program_sources()) == sorted(UNUSED_ALLOWED)
 
 
 def test_scan_sees_an_unused_definition():
@@ -116,6 +132,63 @@ def test_scan_sees_an_unused_definition():
     }
     assert unused_definitions(package, ["y = Kept()"]) == ["m.unused"]
     assert unused_definitions(package, ["import m\nm.unused()"]) == ["n.Kept"]
+
+
+def unused_methods(package: dict, others) -> list:
+    """'module.Class.method' of each public method of a package class whose
+    name no code reads as an attribute: neither the package, outside the
+    method itself, nor the sources in others. The scan goes by name only, so
+    a method hides from it while another class's attribute of the same name
+    is read (LinMap.zero behind Scalar.zero, MultiOp.is_zero behind
+    Scalar.is_zero)."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    read = {name: attributes_read(tree) for name, tree in trees.items()}
+    outside = set().union(*(attributes_read(ast.parse(source)) for source in others))
+    unused = []
+    for file_name, tree in trees.items():
+        elsewhere = outside.union(*(r for name, r in read.items() if name != file_name))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in elsewhere
+                    and node.name not in attributes_read(tree, skip=node)
+                ):
+                    unused.append(f"{file_name.removesuffix('.py')}.{cls.name}.{node.name}")
+    return sorted(unused)
+
+
+# public methods that no program path reads, each with why it stays
+UNUSED_METHODS_ALLOWED = {
+    "linear.LinMap.apply": "perfbench/tracer.py METHODS wraps it by name",
+    "linear.MultiOp.apply": "perfbench/tracer.py METHODS wraps it by name",
+}
+
+
+def test_public_methods_are_used():
+    """Every public method of a package class is read as an attribute by
+    the package, the benchmark or the scripts, so no method is kept only
+    for tests."""
+    assert unused_methods(*program_sources()) == sorted(UNUSED_METHODS_ALLOWED)
+
+
+def test_scan_sees_an_unused_method():
+    package = {
+        "m.py": "class A:\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def for_tests(self):\n        return 2\n\n"
+        "    def recursive(self):\n        return self.recursive()\n\n"
+        "    def _private(self):\n        return 3\n\n"
+        "    def zero(self):\n        return 0\n\n"
+        "x = A().used()\n",
+        "n.py": "class B:\n    def zero(self):\n        return 0\n\ny = B().zero()\n",
+    }
+    # A.zero hides behind the read of B's zero: the scan's limit
+    assert unused_methods(package, []) == ["m.A.for_tests", "m.A.recursive"]
+    assert unused_methods(package, ["A().for_tests()"]) == ["m.A.recursive"]
 
 
 AST_NODES = {"Var", "MapApply", "OpApply", "CycSum", "Identity"}

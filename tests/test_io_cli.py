@@ -571,6 +571,17 @@ class TestCli:
         assert cli_main(["dsl", "check", str(idl), entry26_file]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["forall x,y,z: mul(cyc(x,y){ br(x,y) }, z) = 0", "forall x: a(cyc(x){x}) = 0"],
+    )
+    def test_dsl_check_cyc_inside_a_call(self, text, entry26_file, tmp_path, capsys):
+        idl = tmp_path / "bad.idl"
+        idl.write_text(f"# id: bad\n{text}\n")
+        assert cli_main(["dsl", "check", str(idl), entry26_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at position ") and err.count("\n") == 1
+
     def test_report_to_json_sorted(self, entry26):
         from bihomcheck.structures import check_structure
 

@@ -23,7 +23,15 @@ from bihomcheck.engine import check_identity, define_op
 from bihomcheck.scalars import Scalar, parse_scalar
 from bihomcheck.structures import commute_identity
 
-from oracles import naive_apply, rational_constants
+from conftest import basis_vector, column, entry_cases, op_is_zero, zero_map
+from oracles import (
+    dense_kronecker,
+    dense_power,
+    dense_product,
+    naive_apply,
+    rational_constants,
+)
+from test_construct_bytes import _bundles as construct_bundles
 
 P = ("k1", "k2")
 
@@ -42,19 +50,19 @@ def test_space_validation():
 class TestApply:
     def test_basis_value(self, entry26):
         sp = entry26.space
-        e1 = Vector.basis(sp, 0, P)
-        assert entry26.ops["mul"].apply([e1, e1]) == Vector.basis(sp, 1, P)
+        e1 = basis_vector(sp, 0, P)
+        assert entry26.ops["mul"].apply([e1, e1]) == basis_vector(sp, 1, P)
 
     def test_zero_argument(self, entry26):
         sp = entry26.space
         z = Vector.zero(sp, P)
-        e1 = Vector.basis(sp, 0, P)
+        e1 = basis_vector(sp, 0, P)
         assert entry26.ops["br"].apply([e1, z]).is_zero()
 
     def test_completed_bracket_slot(self, entry26):
         sp = entry26.space
-        e1, e2 = Vector.basis(sp, 0, P), Vector.basis(sp, 1, P)
-        assert entry26.ops["br"].apply([e2, e1]) == Vector.basis(sp, 1, P).scale(-1)
+        e1, e2 = basis_vector(sp, 0, P), basis_vector(sp, 1, P)
+        assert entry26.ops["br"].apply([e2, e1]) == basis_vector(sp, 1, P).scale(-1)
 
     def test_multilinearity_random(self):
         """Value on random combinations equals the basis expansion."""
@@ -111,7 +119,7 @@ class TestApply:
         other = BasisSpace(["f1", "f2"])
         with pytest.raises(SpaceMismatch):
             entry26.ops["mul"].apply(
-                [Vector.basis(other, 0, P), Vector.basis(other, 1, P)]
+                [basis_vector(other, 0, P), basis_vector(other, 1, P)]
             )
 
 
@@ -185,12 +193,12 @@ class TestTwist:
     def test_entry26_twist(self, entry26):
         twisted = twist(entry26, "mul", "a", "b")
         # (e1 + k2 e2)·(e1 + k1 e2) only sees the e1·e1 constant
-        assert twisted.value_at((0, 0)) == Vector.basis(entry26.space, 1, P)
+        assert twisted.value_at((0, 0)) == basis_vector(entry26.space, 1, P)
 
     def test_zero_slot_kills_everything(self, entry26):
-        zero = LinMap.zero(entry26.space, P)
+        zero = zero_map(entry26.space, P)
         twisted = twist(entry26.replace(maps={**entry26.maps, "z": zero}), "mul", "a", "z")
-        assert twisted.is_zero()
+        assert op_is_zero(twisted)
 
     def test_twist_composes(self, entry26):
         inner = entry26.replace(ops={**entry26.ops, "br": twist(entry26, "br", "a", "b")})
@@ -252,7 +260,7 @@ class TestTensor:
         t = tensor_map(m, ident)
         ts = t.space
         # image of e1⊗f2 (index 1) is m(e1)⊗f2 = 1·e1⊗f2 + 2·e2⊗f2
-        got = t.column(1)
+        got = column(t, 1)
         assert [c.eval({}) for c in got.coords] == [0, 1, 0, 2]
 
     def test_tensor_composition(self):
@@ -269,3 +277,47 @@ class TestTensor:
             lhs = tensor_map(ma, mb).compose(tensor_map(mc, md))
             rhs = tensor_map(ma.compose(mc), mb.compose(md))
             assert lhs == rhs
+
+
+def product_cases():
+    """Every completed catalog entry over Q(params) and at a sample point
+    over Q (where inverses have integer denominators to clear), each of its
+    constraint branches, and the dense Q(k) bundle of the construct pins,
+    whose b^-1 has the denominator k - 1."""
+    out = []
+    for entry_id, entry in sorted(entries().items()):
+        out.append(pytest.param(entry.completed_bundle(), id=f"entry{entry_id}"))
+        [(_, at_point)] = entry_cases(entry, 1, seed=0)
+        out.append(pytest.param(at_point, id=f"entry{entry_id}-point"))
+        if entry.branches:
+            for i, (_, bundle) in enumerate(entry.branch_bundles()):
+                out.append(pytest.param(bundle, id=f"entry{entry_id}-branch{i}"))
+    out.append(pytest.param(construct_bundles()["qk"], id="qk"))
+    return out
+
+
+def assert_rows(got: LinMap, want):
+    """got equals the rows want by value and prints the same text."""
+    assert got == LinMap(got.space, got.params, want)
+    assert [[c.text() for c in row] for row in got.rows] == [
+        [c.text() for c in row] for row in want
+    ]
+
+
+@pytest.mark.parametrize("bundle", product_cases())
+def test_map_products_match_dense_oracle(bundle):
+    """compose, power(k) for k in -2..3 and tensor_map of every pair of the
+    bundle's maps equal the dense loops of tests/oracles.py."""
+    zero = Scalar.zero(bundle.ring.params)
+    maps = [bundle.maps[name] for name in sorted(bundle.maps)]
+    for m1 in maps:
+        for k in range(-2, 4):
+            try:
+                got = m1.power(k)
+            except NotInvertible:
+                assert k < 0
+                continue
+            assert_rows(got, dense_power(m1, k))
+        for m2 in maps:
+            assert_rows(m1.compose(m2), dense_product(m1.rows, m2.rows, zero))
+            assert_rows(tensor_map(m1, m2), dense_kronecker(m1.rows, m2.rows, zero))

@@ -111,7 +111,7 @@ def _random_scalar(rng: random.Random) -> Scalar:
     if kind == 1 or num.is_zero():
         return Scalar.from_poly(num)
     den = Poly(P, {(rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(1, 4))})
-    return Scalar.ratio(num, den)
+    return Scalar.from_poly(num) / Scalar.from_poly(den)
 
 
 def test_ring_laws_bulk():
