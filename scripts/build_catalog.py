@@ -17,12 +17,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bihomcheck.bundle import AlgebraBundle, Ring
-from bihomcheck.catalog import CATALOG_AXES, CatalogEntry, solve_skew_completion
+from bihomcheck.catalog import (
+    CATALOG_AXES,
+    CatalogEntry,
+    branch_values,
+    solve_skew_completion,
+)
 from bihomcheck.errors import Inconsistent
 from bihomcheck.fileio import canonical_json
 from bihomcheck.linear import BasisSpace, LinMap, MultiOp
 from bihomcheck.scalars import parse_scalar
-from bihomcheck.structures import definition_verdicts
+from bihomcheck.structures import check_definition
 
 ALL_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -235,9 +240,7 @@ def derive_completion(spec, bundle):
         return {}, slots
     branches = spec.get("branches", [])
     if branches:
-        subs = branches[0]
-        remaining = tuple(p for p in spec["params"] if p not in subs)
-        values = {n: parse_scalar(t, remaining) for n, t in subs.items()}
+        remaining, values = branch_values(branches[0], spec["params"])
         work = bundle.substitute_params(values, remaining)
     else:
         work = bundle
@@ -261,7 +264,7 @@ def derive_completion(spec, bundle):
 
 def entry_status(entry: CatalogEntry) -> str:
     cases = [(None, bundle) for _desc, bundle in entry.branch_bundles()]
-    if all(v.passed for v in definition_verdicts(CATALOG_AXES, cases)):
+    if check_definition(CATALOG_AXES, entry.bundle, cases=cases).passed:
         return "asserted-pass"
     return "report-only"
 

@@ -3,10 +3,11 @@ a skew-symmetry completion solver for the bracket slots the listings leave
 implicit, and a verifier that produces a per-axiom report for each entry.
 
 The report columns are one StructureDef, CATALOG_AXES, run like every
-structure; verify_entry picks the cases (constraint branches, or sample
-points) whose verdicts engine.merge combines. sample_points is the
-package's one point sampler: `catalog verify` and `check --mode sampled`
-both draw with it.
+structure: verify_entry picks the cases (constraint branches, or sample
+points) and structures.check_definition turns them into the report.
+sample_points is the package's one point sampler: `catalog verify` and
+`check --mode sampled` both run on the (point, specialised bundle) cases it
+draws, and it raises when it cannot draw as many as asked.
 
 Completion convention: unlisted PRODUCT constants are zero; unlisted BRACKET
 constants are solved from the twisted skew-symmetry equations
@@ -34,11 +35,11 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .bundle import AlgebraBundle
-from .errors import Inconsistent, NoSamplePoints, UnknownEntry
+from .errors import BihomError, Inconsistent, NoSamplePoints, UnknownEntry
 from .linear import LinMap, MultiOp, gauss_jordan
 from .rng import SplitRng
 from .scalars import Scalar, parse_scalar
-from .structures import Report, StructureDef, _predicate_id, definition_verdicts
+from .structures import Report, StructureDef, _predicate_id, check_definition
 
 # per-axiom columns of the catalog report, in report order
 CATALOG_AXES = StructureDef(
@@ -92,10 +93,7 @@ class CatalogEntry:
             return [("generic", base)]
         out = []
         for subs in self.branches:
-            remaining = tuple(p for p in base.ring.params if p not in subs)
-            values = {
-                name: parse_scalar(text, remaining) for name, text in subs.items()
-            }
+            remaining, values = branch_values(subs, base.ring.params)
             desc = ", ".join(f"{n} = {t}" for n, t in subs.items())
             out.append((desc, base.substitute_params(values, remaining)))
         return out
@@ -263,32 +261,43 @@ def get_entry(entry_id: int) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
+def branch_values(subs: Mapping[str, str], params: tuple) -> tuple:
+    """(remaining, values) of a branch substitution {param: coeff text}: the
+    parameters it leaves free, and the value of each parameter it solves as a
+    Scalar over them."""
+    remaining = tuple(p for p in params if p not in subs)
+    return remaining, {name: parse_scalar(text, remaining) for name, text in subs.items()}
+
+
 def sample_points(bundle: AlgebraBundle, count: int, rng: SplitRng, branches=()) -> list:
-    """Up to count (point, bundle.eval_at(point)) cases at parameter points
-    that satisfy the bundle's constraints exactly. Free parameters get
-    integers in [-10, 10]; each point in turn takes the next branch
-    substitution, which solves the parameters it names. A point where a
-    denominator vanishes is drawn again; drawing stops after 1000*count
-    points, so the caller checks that it got count cases."""
+    """count (point, bundle.eval_at(point)) cases at parameter points that
+    satisfy the bundle's constraints exactly. Free parameters get integers in
+    [-10, 10]; each point in turn takes the next branch substitution, which
+    solves the parameters it names. A point where a denominator vanishes is
+    drawn again; when 1000*count draws give fewer than count cases, it raises
+    BihomError."""
     if count < 1:
         raise NoSamplePoints()
-    params = bundle.ring.params
-    branches = branches or ({},)
+    branches = [branch_values(subs, bundle.ring.params) for subs in branches or ({},)]
     cases = []
     for _ in range(1000 * count):
         if len(cases) == count:
             break
-        subs = branches[len(cases) % len(branches)]
-        remaining = tuple(p for p in params if p not in subs)
+        remaining, values = branches[len(cases) % len(branches)]
         point = {p: Fraction(rng.randint(-10, 10)) for p in remaining}
         try:
             full = dict(point)
-            for name, text in subs.items():
-                full[name] = parse_scalar(text, remaining).eval(point)
+            for name, value in values.items():
+                full[name] = value.eval(point)
             if bundle.ring.check_point(full) is None:
                 cases.append((full, bundle.eval_at(full)))
         except ZeroDivisionError:  # a denominator vanishes at the point
             continue
+    if len(cases) < count:
+        raise BihomError(
+            f"could not sample {count} constraint-satisfying points of {bundle.label()}"
+            f" in {1000 * count} draws"
+        )
     return cases
 
 
@@ -298,49 +307,33 @@ def verify_entry(
     samples: int = 5,
     seed: int = 0,
 ) -> Report:
-    """Per-axiom report for one catalog entry. Symbolic mode checks every
-    constraint branch and merges; sampled mode specializes at
-    constraint-satisfying points."""
+    """Per-axiom report for one catalog entry, labelled with the entry's
+    provenance name entryNN. Symbolic mode checks every constraint branch and
+    merges; sampled mode specializes at constraint-satisfying points."""
     entry = get_entry(entry_id)
     notes = list(entry.notes)
     if entry.completion is None and entry.given_br_slots != tuple(
         itertools.product(range(2), repeat=2)
     ):
         notes.append("skew completion unsolvable; unlisted bracket constants forced to zero")
-    if mode == "symbolic":
+    if mode == "sampled":
+        rng = SplitRng(seed).child(f"entry{entry.entry_id}")
+        cases = sample_points(entry.completed_bundle(), samples, rng, entry.branches)
+    else:
         branches = entry.branch_bundles()
         many = len(branches) > 1
         cases = [({"branch": desc} if many else None, b) for desc, b in branches]
         if many:
             notes.append(f"symbolic check over {len(branches)} constraint branches")
-        points, seed = None, None
-    elif mode == "sampled":
-        rng = SplitRng(seed).child(f"entry{entry.entry_id}")
-        cases = sample_points(entry.completed_bundle(), samples, rng, entry.branches)
-        if len(cases) < samples:
-            raise Inconsistent(
-                f"could not sample {samples} constraint-satisfying points for entry {entry_id}"
-            )
-        points = [point for point, _ in cases]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    verdicts = definition_verdicts(CATALOG_AXES, cases)
-    return Report(
-        f"entry{entry.entry_id:02d}",
-        CATALOG_AXES.name,
-        mode,
-        verdicts,
-        seed=seed,
-        points=points,
-        notes=notes,
-    )
+        seed = None
+    report = check_definition(CATALOG_AXES, entry.bundle, mode, cases, seed)
+    report.notes = notes
+    return report
 
 
 def verify_all(mode: str = "symbolic", samples: int = 5, seed: int = 0, ids=None) -> list:
-    out = []
-    for entry_id in sorted(entries()) if ids is None else sorted(ids):
-        out.append(verify_entry(entry_id, mode=mode, samples=samples, seed=seed))
-    return out
+    ids = sorted(entries()) if ids is None else sorted(ids)
+    return [verify_entry(i, mode=mode, samples=samples, seed=seed) for i in ids]
 
 
 def summary_table(reports: Sequence[Report]) -> str:

@@ -75,15 +75,8 @@ def _exit_code(overall: str) -> int:
 def cmd_check(args) -> int:
     bundle = load_bundle(args.bundle)
     if args.mode == "sampled":
-        rng = SplitRng(args.seed).child("points")
-        cases = sample_points(bundle, args.samples, rng)
-        if len(cases) < args.samples:
-            raise BihomError(
-                "could not sample constraint-satisfying points; "
-                "use `catalog verify` for catalog entries with branch data"
-            )
-        points = [point for point, _ in cases]
-        report = check_structure(args.structure, bundle, "sampled", points, seed=args.seed)
+        cases = sample_points(bundle, args.samples, SplitRng(args.seed).child("points"))
+        report = check_structure(args.structure, bundle, "sampled", cases, seed=args.seed)
     else:
         report = check_structure(args.structure, bundle, "symbolic")
     return _finish(report, args.report, bundle)
@@ -174,7 +167,7 @@ def cmd_construct(args) -> int:
 def cmd_tensor(args) -> int:
     a = load_bundle(args.left)
     b = load_bundle(args.right)
-    return _save_construction(tensor_bundle(a, b, args.kind, require=True), args.output)
+    return _save_construction(tensor_bundle(a, b, args.kind), args.output)
 
 
 def _save_construction(out: AlgebraBundle, path) -> int:

@@ -1,9 +1,9 @@
 """Algebra-to-algebra constructions as bundle transformers.
 
 Every construction validates its hypotheses first (strict by default; pass
-require=False to downgrade refusals to recorded warnings), never mutates its
-input, and stamps the output's provenance with the construction name and the
-inputs used.
+require=False to downgrade refusals to recorded warnings; tensor_bundle only
+records warnings), never mutates its input, and stamps the output's
+provenance with the construction name and the inputs used.
 
 A construction is its hypothesis checks plus one .idl term per new op, such
 as br(x, y) = mul(a(x), D(b(y))) - mul(b(y), D(a(x))), which
@@ -69,6 +69,11 @@ class _Hypotheses:
 
     def check_identity(self, ident: Identity, bundle: AlgebraBundle, what: str):
         self.demand(check_identity(ident, bundle, what).passed, what)
+
+    def check_report(self, report, what: str):
+        """Demand that a report passes; a refusal names its failing verdicts."""
+        failing = ", ".join(v.identity for v in report.verdicts if v.status != "pass")
+        self.demand(report.passed, what + failing)
 
     def check_commute(self, bundle: AlgebraBundle, m1: str, m2: str):
         bundle.require_map(m1)
@@ -212,11 +217,9 @@ def np_commutator(bundle: AlgebraBundle, require: bool = True) -> AlgebraBundle:
     bundle.require_op("star", 2)
     bundle.require_map("a").power(-1)  # raises NotInvertible on singular maps
     bundle.require_map("b").power(-1)
-    report = check_structure("pre-lie-poisson", bundle)
-    hyp.demand(
-        report.passed,
-        "input does not satisfy the pre-Lie Poisson laws: "
-        + ", ".join(v.identity for v in report.verdicts if v.status != "pass"),
+    hyp.check_report(
+        check_structure("pre-lie-poisson", bundle),
+        "input does not satisfy the pre-Lie Poisson laws: ",
     )
     br = define_op(bundle, "forall x,y: star(x, y) - star(a^-1(b(y)), a(b^-1(x))) = 0")
     prov = hyp.provenance(input=bundle.label())
@@ -240,17 +243,18 @@ def _kron(op_a: MultiOp, op_b: MultiOp, db: int) -> dict:
 
 
 def tensor_bundle(
-    a_bundle: AlgebraBundle, b_bundle: AlgebraBundle, kind: str, require: bool = True
+    a_bundle: AlgebraBundle, b_bundle: AlgebraBundle, kind: str
 ) -> AlgebraBundle:
     """Tensor product of two bundles. kind "bp-tbp" combines products and
     brackets (bracket = br⊗mul + mul⊗br); kind "pre-lie-poisson" combines
-    products and star products the same way."""
+    products and star products the same way. It refuses nothing: a singular
+    factor map is recorded as a warning in provenance."""
     if a_bundle.ring != b_bundle.ring:
         raise RingMismatch("tensor factors must share one coefficient ring")
     if kind not in ("bp-tbp", "pre-lie-poisson"):
         raise ValueError(f"unknown tensor kind {kind!r}")
     second = "br" if kind == "bp-tbp" else "star"
-    hyp = _Hypotheses(f"tensor({kind})", require)
+    hyp = _Hypotheses(f"tensor({kind})", require=False)
     for bundle in (a_bundle, b_bundle):
         bundle.require_op("mul", 2)
         bundle.require_op(second, 2)
@@ -340,12 +344,7 @@ def ternary_from_involution(
     hyp = _Hypotheses("ternary-involution", require)
     A, B = bundle.require_map("a"), bundle.require_map("b")
     F = bundle.require_map(f_name)
-    inv_report = check_involution(bundle, f_name)
-    hyp.demand(
-        inv_report.passed,
-        "involution hypotheses fail: "
-        + ", ".join(v.identity for v in inv_report.verdicts if v.status != "pass"),
-    )
+    hyp.check_report(check_involution(bundle, f_name), "involution hypotheses fail: ")
     ops = {**bundle.ops, "tbr": _ternary(bundle, F, F.compose(A.power(-1)).compose(B))}
     compat_bundle = bundle.replace(ops=ops, maps={**bundle.maps, "f": F})
     compat = check_identity(IDENTITIES["invol-compat"], compat_bundle, "invol-compat")
@@ -359,11 +358,8 @@ def ternary_from_product(bundle: AlgebraBundle, require: bool = True) -> Algebra
     """Ternary bracket built from the product itself; the intended inputs are
     strong BP bundles (pass require=False to experiment beyond them)."""
     hyp = _Hypotheses("ternary-product", require)
-    report = check_structure("strong-bp", bundle)
-    hyp.demand(
-        report.passed,
-        "input does not satisfy the strong BP laws: "
-        + ", ".join(v.identity for v in report.verdicts if v.status != "pass"),
+    hyp.check_report(
+        check_structure("strong-bp", bundle), "input does not satisfy the strong BP laws: "
     )
     ident = LinMap.identity(bundle.space, bundle.ring.params)
     A, B = bundle.require_map("a"), bundle.require_map("b")

@@ -60,18 +60,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .bundle import AlgebraBundle
 from .dsl import Identity, MapApply, Var, expand_identity, parse_identity
-from .errors import (
-    ArityMismatch,
-    ConstraintViolated,
-    NoSamplePoints,
-    NotInvertible,
-    UnknownName,
-)
+from .errors import ArityMismatch, NotInvertible, UnknownName
 from .linear import MultiOp, Vector
 from .scalars import Scalar
 
@@ -284,23 +277,6 @@ def define_op(bundle: AlgebraBundle, text: str) -> MultiOp:
         if not value.is_zero():
             constants[tup] = value.coords
     return MultiOp(bundle.space, bundle.ring.params, len(ident.vars), constants)
-
-
-def checked_points(
-    bundle: AlgebraBundle, points: Sequence[Mapping[str, Fraction]] | None
-) -> list:
-    """The points of a sampled check as exact rationals. There must be at
-    least one, and each must satisfy the bundle's constraints exactly."""
-    if not points:
-        raise NoSamplePoints()
-    out = []
-    for point in points:
-        point = {k: Fraction(v) for k, v in point.items()}
-        bad = bundle.ring.check_point(point)
-        if bad is not None:
-            raise ConstraintViolated(point, bad.text())
-        out.append(point)
-    return out
 
 
 def merge(cases: Sequence[tuple]) -> list:

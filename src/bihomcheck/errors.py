@@ -11,10 +11,6 @@ class BihomError(Exception):
     """Base class for all bihomcheck errors."""
 
 
-def _point_text(point) -> str:
-    return ", ".join(f"{k}={v}" for k, v in point.items())
-
-
 class RingMismatch(BihomError):
     """Two values over different parameter lists were combined."""
 
@@ -28,7 +24,7 @@ class DenominatorVanishes(BihomError, ZeroDivisionError):
 
     def __init__(self, point, detail: str = ""):
         self.point = dict(point)
-        msg = f"denominator vanishes at {_point_text(self.point)}"
+        msg = "denominator vanishes at " + ", ".join(f"{k}={v}" for k, v in self.point.items())
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
@@ -107,13 +103,6 @@ class MissingMap(_PlainKeyError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"bundle has no linear map {name!r}")
-
-
-class ConstraintViolated(BihomError, ValueError):
-    def __init__(self, point, constraint: str):
-        self.point = dict(point)
-        self.constraint = constraint
-        super().__init__(f"point {_point_text(self.point)} violates constraint {constraint} = 0")
 
 
 class NoSamplePoints(BihomError, ValueError):

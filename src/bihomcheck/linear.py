@@ -270,15 +270,15 @@ class LinMap:
         return True
 
     def power(self, k: int) -> "LinMap":
-        """self^k, computed once per exponent; raises NotInvertible for k < 0
-        on a singular map."""
+        """self^k, computed once per exponent (a negative power starts from the
+        cached inverse); raises NotInvertible for k < 0 on a singular map."""
         if k == 1:
             return self
         if k in self._powers:
             return self._powers[k]
         base, n = self, k
         if n < 0:
-            base = self.inverse()
+            base = self.inverse() if n == -1 else self.power(-1)
             n = -n
         result = None
         while n:

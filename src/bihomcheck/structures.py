@@ -5,9 +5,10 @@ A StructureDef lists the ops and maps a check requires, its predicates
 REGISTRY holds the structures of `check --structure`, SUITES the sets of
 `identities --set`, catalog.CATALOG_AXES the catalog report's columns.
 check_definition is the one runner: it runs any of them, or any other set
-of laws given as a StructureDef, symbolically or at sample points whose
-verdicts engine.merge combines; the plain overlap forms (REGULAR_ONLY) are
-inapplicable on singular maps.
+of laws given as a StructureDef, over the bundle's ring or on (label,
+bundle) cases (constraint branches, or catalog.sample_points' specialised
+bundles) whose verdicts engine.merge combines; the plain overlap forms
+(REGULAR_ONLY) are inapplicable on singular maps.
 
 Every law is .idl text decided by engine.check_identity: fixed laws sit in
 data/structures/*.idl and data/suites/*.idl under `# id:` comments, laws over
@@ -22,9 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .bundle import AlgebraBundle
 from .dsl import Identity, parse_identity, parse_identity_file
@@ -32,11 +32,10 @@ from .engine import (
     FIXED_EXPONENTS,
     Verdict,
     check_identity,
-    checked_points,
     instantiate_power_identity,
     merge,
 )
-from .errors import ArityMismatch, BihomError
+from .errors import ArityMismatch, BihomError, NoSamplePoints
 from .rng import SplitRng
 
 
@@ -359,10 +358,6 @@ def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
     raise ValueError(f"unknown predicate {pred!r}")
 
 
-def _maps_invertible(bundle: AlgebraBundle) -> bool:
-    return all(bundle.require_map(n).invertible() for n in ("a", "b"))
-
-
 def _verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:
     for opname, arity in defn.ops:
         bundle.require_op(opname, arity)
@@ -374,7 +369,7 @@ def _verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:
         vid, ident = (item, IDENTITIES[item]) if isinstance(item, str) else item
         if vid in REGULAR_ONLY:
             if invertible is None:
-                invertible = _maps_invertible(bundle)
+                invertible = all(bundle.require_map(n).invertible() for n in ("a", "b"))
             if not invertible:
                 verdicts.append(Verdict(vid, "inapplicable", "structure maps not invertible"))
                 continue
@@ -382,31 +377,25 @@ def _verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:
     return verdicts
 
 
-def definition_verdicts(defn: StructureDef, cases) -> list:
-    """On each (label, bundle) case: require the definition's ops and maps,
-    then run its predicates and its identities; the per-case verdict lists
-    are combined by engine.merge."""
-    return merge([(label, _verdicts(defn, bundle)) for label, bundle in cases])
-
-
 def check_definition(
     defn: StructureDef,
     bundle: AlgebraBundle,
     mode: str = "symbolic",
-    points: Sequence[Mapping[str, Fraction]] | None = None,
+    cases: Sequence[tuple] | None = None,
     seed: int | None = None,
 ) -> Report:
-    """Run a definition on a bundle. Mode "symbolic" works over the bundle's
-    ring as-is; mode "sampled" specializes at each given parameter point
-    (see engine.checked_points) and merges the verdicts."""
-    if mode == "symbolic":
-        cases, points, seed = [(None, bundle)], None, None
-    elif mode == "sampled":
-        points = checked_points(bundle, points)
-        cases = ((p, bundle.eval_at(p)) for p in points)
-    else:
+    """Run a definition on a bundle over its ring, or on each given (label,
+    bundle) case: require its ops and maps, run its predicates and identities,
+    and merge the per-case verdicts. In mode "sampled" the report's points
+    are the case labels."""
+    if mode not in ("symbolic", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    verdicts = definition_verdicts(defn, cases)
+    if cases is None and mode == "symbolic":
+        cases = [(None, bundle)]
+    if not cases:
+        raise NoSamplePoints()
+    verdicts = merge([(label, _verdicts(defn, case)) for label, case in cases])
+    points = [label for label, _ in cases] if mode == "sampled" else None
     return Report(bundle.label(), defn.name, mode, verdicts, seed=seed, points=points)
 
 
@@ -414,18 +403,18 @@ def check_structure(
     name: str,
     bundle: AlgebraBundle,
     mode: str = "symbolic",
-    points: Sequence[Mapping[str, Fraction]] | None = None,
+    cases: Sequence[tuple] | None = None,
     seed: int | None = None,
 ) -> Report:
     """Run a registered structure's predicates and identities on a bundle
-    (see check_definition for the modes)."""
+    (see check_definition for the modes and cases)."""
     if name == "tbp-nlie":
-        return check_nary_transposed(bundle, mode=mode, points=points, seed=seed)
+        return check_nary_transposed(bundle, mode=mode, cases=cases, seed=seed)
     if name not in REGISTRY:
         raise BihomError(
             f"unknown structure {name!r}; known: {', '.join(sorted(REGISTRY))}, tbp-nlie"
         )
-    return check_definition(REGISTRY[name], bundle, mode, points, seed)
+    return check_definition(REGISTRY[name], bundle, mode, cases, seed)
 
 
 def check_suite(name: str, bundle: AlgebraBundle) -> Report:
@@ -437,7 +426,7 @@ def check_nary_transposed(
     bundle: AlgebraBundle,
     op_name: str = "nbr",
     mode: str = "symbolic",
-    points=None,
+    cases=None,
     seed=None,
 ) -> Report:
     """Transposed compatibility and adjacent-swap skew laws for an n-ary
@@ -458,7 +447,7 @@ def check_nary_transposed(
         ),
         ("comm", *skew, (f"ncompat({n})", nary_transposed_compat_identity(op_name, n))),
     )
-    report = check_definition(defn, bundle, mode, points, seed)
+    report = check_definition(defn, bundle, mode, cases, seed)
     report.notes.append("n-ary Jacobi identity not checked (external definition)")
     return report
 
@@ -501,6 +490,4 @@ def check_power_suite(
         for which, tag in (("eq31", "power-1"), ("eq32", "power-2"))
     ]
     defn = StructureDef("lemma31", (("mul", 2), ("br", 2)), (), (), (*laws, "power-fixed"))
-    report = check_definition(defn, bundle)
-    report.seed = seed
-    return report
+    return check_definition(defn, bundle, seed=seed)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from bihomcheck.bundle import AlgebraBundle, Ring
@@ -57,6 +59,13 @@ def entry_cases(entry, count, seed):
 
     rng = SplitRng(seed).child(f"entry{entry.entry_id}")
     return sample_points(entry.completed_bundle(), count, rng, entry.branches)
+
+
+def point_cases(bundle, points):
+    """(point, bundle.eval_at(point)) cases at given parameter points, in the
+    form catalog.sample_points draws them."""
+    points = [{k: Fraction(v) for k, v in p.items()} for p in points]
+    return [(p, bundle.eval_at(p)) for p in points]
 
 
 def make_bundle(labels, params, ops, maps, constraints=(), name=None):

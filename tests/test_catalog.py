@@ -22,10 +22,10 @@ from bihomcheck.catalog import (
     verify_all,
     verify_entry,
 )
-from bihomcheck.errors import Inconsistent, UnknownEntry
+from bihomcheck.errors import BihomError, Inconsistent, UnknownEntry
 from bihomcheck.linear import Vector
 from bihomcheck.rng import SplitRng
-from bihomcheck.structures import check_suite, definition_verdicts
+from bihomcheck.structures import check_definition, check_suite
 
 from conftest import column, entry_cases, make_bundle, verdict
 
@@ -236,8 +236,9 @@ class TestAggregate:
             for entry_id, entry in entries().items():
                 bundle = entry.completed_bundle()
                 point = {p: Fraction(0) for p in bundle.ring.params}
-                verdicts = definition_verdicts(CATALOG_AXES, [(None, bundle.eval_at(point))])
-                rows[entry_id] = [v.to_dict() for v in verdicts]
+                cases = [(None, bundle.eval_at(point))]
+                report = check_definition(CATALOG_AXES, bundle, cases=cases)
+                rows[entry_id] = [v.to_dict() for v in report.verdicts]
             outputs.append(json.dumps(rows, sort_keys=True))
         assert outputs[0] == outputs[1]
 
@@ -261,6 +262,16 @@ def test_sampler_redraws_vanishing_denominators():
     cases = sample_points(bundle, 30, SplitRng(4).child("t"))
     assert [point["k"] for point, _ in cases] == [k for k in raw if k != 0][:30]
     assert all(not specialised.ring.params for _, specialised in cases)
+
+
+def test_sampler_raises_when_no_point_satisfies_the_constraints():
+    """3*k1 - 1 has no integer root, so no draw lands on the constraint
+    variety: the sampler itself refuses, with a plain BihomError."""
+    bundle = make_bundle(["e1", "e2"], ("k1",), {}, {}, constraints=["3*k1 - 1"])
+    with pytest.raises(BihomError) as info:
+        sample_points(bundle, 2, SplitRng(0).child("t"))
+    assert not isinstance(info.value, Inconsistent)
+    assert str(info.value).startswith("could not sample 2 constraint-satisfying points")
 
 
 def test_split_rng_is_deterministic_and_splittable():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bihomcheck.catalog import entries, get_entry
+from bihomcheck.catalog import entries, get_entry, sample_points
 from bihomcheck.dsl import MapApply, OpApply, Var, parse_identity, print_identity
 from bihomcheck.engine import (
     BoundIdentity,
@@ -22,13 +22,13 @@ from bihomcheck.engine import (
 )
 from bihomcheck.errors import (
     ArityMismatch,
-    ConstraintViolated,
     DenominatorVanishes,
     NoSamplePoints,
     NotInvertible,
     UnknownName,
 )
 from bihomcheck.linear import Vector
+from bihomcheck.rng import SplitRng
 from bihomcheck.scalars import Scalar, parse_scalar
 from bihomcheck.structures import (
     IDENTITIES,
@@ -41,7 +41,7 @@ from bihomcheck.structures import (
     multiplicativity_identity,
 )
 
-from conftest import basis_vector, make_bundle, verdict
+from conftest import basis_vector, make_bundle, point_cases, verdict
 from oracles import dense_evaluator, reference_eval
 
 
@@ -103,7 +103,8 @@ def check_sampled(ident, bundle, points, identity_id="identity"):
     """One law checked at parameter points by the runner of every sampled
     check."""
     defn = StructureDef(identity_id, (), (), (), ((identity_id, ident),))
-    return verdict(check_definition(defn, bundle, "sampled", points), identity_id)
+    report = check_definition(defn, bundle, "sampled", point_cases(bundle, points))
+    return verdict(report, identity_id)
 
 
 def test_sampled_leibniz_counterexample(entry26):
@@ -122,11 +123,12 @@ def test_sampled_point_must_satisfy_constraints():
         {"a": [["1", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]},
         constraints=["(k1 - 1)*k2"],
     )
-    with pytest.raises(ConstraintViolated):
-        check_sampled(IDENTITIES["comm"], bundle, [{"k1": 2, "k2": 3}])
-    # a point on the constraint variety is fine
-    v = check_sampled(IDENTITIES["comm"], bundle, [{"k1": 1, "k2": 3}])
-    assert v.passed
+    # the sampler draws only points on the constraint variety
+    cases = sample_points(bundle, 5, SplitRng(0).child("points"))
+    assert len(cases) == 5
+    assert all(bundle.ring.check_point(point) is None for point, _ in cases)
+    defn = StructureDef("comm", (), (), (), ("comm",))
+    assert check_definition(defn, bundle, "sampled", cases).passed
 
 
 def test_basis_sufficiency(entry26):

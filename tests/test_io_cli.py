@@ -397,13 +397,10 @@ class TestCli:
     def test_point_errors_print_points_plainly(self):
         from fractions import Fraction
 
-        from bihomcheck.errors import ConstraintViolated, DenominatorVanishes
+        from bihomcheck.errors import DenominatorVanishes
 
         point = {"k1": Fraction(0), "k2": Fraction(5)}
         assert str(DenominatorVanishes(point)) == "denominator vanishes at k1=0, k2=5"
-        assert str(ConstraintViolated(point, "k1 - 1")) == (
-            "point k1=0, k2=5 violates constraint k1 - 1 = 0"
-        )
 
     def test_usage_error_exit_two(self, capsys):
         assert cli_main(["check"]) == 2
@@ -475,6 +472,37 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: sampled mode needs at least one point\n"
+
+    def test_sampled_check_specialises_each_point_once(self, entry26_file, monkeypatch, capsys):
+        """The structure check runs on the sampler's (point, bundle) cases."""
+        from bihomcheck.bundle import AlgebraBundle
+
+        points = []
+        eval_at = AlgebraBundle.eval_at
+        monkeypatch.setattr(
+            AlgebraBundle, "eval_at", lambda b, point: points.append(point) or eval_at(b, point)
+        )
+        args = ["check", entry26_file, "--structure", "tbp", "--mode", "sampled"]
+        assert cli_main([*args, "--samples", "5"]) == 0
+        assert len(points) == 5
+        capsys.readouterr()
+
+    def test_sampled_check_without_points_exit_two(self, tmp_path, capsys):
+        """3*k1 - 1 has no integer root, so no sample point can be drawn."""
+        ident = [["1", "0"], ["0", "1"]]
+        bundle = make_bundle(
+            ["e1", "e2"],
+            ("k1",),
+            {"mul": (2, {}), "br": (2, {})},
+            {"a": ident, "b": ident},
+            constraints=["3*k1 - 1"],
+        )
+        path = tmp_path / "rootless.bundle"
+        save_bundle(bundle, path)
+        code = cli_main(["check", str(path), "--structure", "tbp", "--mode", "sampled"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: could not sample 5 constraint-satisfying points")
 
     def test_catalog_sampled_zero_samples_exit_two(self, capsys):
         code = cli_main(

@@ -176,6 +176,19 @@ class TestMapPower:
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         assert digest == "4d5f12efbaca208645700c11e1fcdc5c64f3c1beca9e3d1e68417f8965613c12"
 
+    def test_lemma31_inverts_each_map_once(self, monkeypatch):
+        """Every negative power starts from the cached inverse, so the lemma31
+        suite (a^-1, a^-2, b^-1, b^-2 and more) inverts each map once."""
+        from bihomcheck.catalog import get_entry
+        from bihomcheck.structures import check_power_suite
+
+        bundle = get_entry(26).completed_bundle()
+        inverted = []
+        inverse = LinMap.inverse
+        monkeypatch.setattr(LinMap, "inverse", lambda m: inverted.append(m) or inverse(m))
+        check_power_suite(bundle)
+        assert sorted(map(id, inverted)) == sorted(map(id, bundle.maps.values()))
+
 
 def twist(bundle, op_name, left, right):
     """The binary op op_name(left(x), right(y)), evaluated by the engine."""

@@ -9,7 +9,6 @@ import pytest
 
 from bihomcheck.construct import truncated_polynomial_algebra
 from bihomcheck.errors import (
-    ConstraintViolated,
     MissingMap,
     MissingOp,
     NoSamplePoints,
@@ -27,7 +26,15 @@ from bihomcheck.structures import (
     derivation_identity,
 )
 
-from conftest import COMPAT_FORMS, basis_vector, euler_map, make_bundle, verdict, zero_map
+from conftest import (
+    COMPAT_FORMS,
+    basis_vector,
+    euler_map,
+    make_bundle,
+    point_cases,
+    verdict,
+    zero_map,
+)
 from oracles import classical_transposed_poisson, rational_constants
 
 
@@ -70,13 +77,14 @@ def test_missing_requirements(zero_bundle, entry26):
 
 
 def test_sampled_structure_mode(entry26):
-    report = check_structure("tbp", entry26, "sampled", [{"k1": 2, "k2": -7}], seed=4)
+    cases = point_cases(entry26, [{"k1": 2, "k2": -7}])
+    report = check_structure("tbp", entry26, "sampled", cases, seed=4)
     assert report.passed and report.mode == "sampled" and report.seed == 4
 
 
 def test_sampled_points_validated_on_both_paths():
-    """check_structure and the n-ary path share one point validator: an empty
-    point list and a point off the constraint variety are both refused."""
+    """check_structure and the n-ary path share one runner: an empty case
+    list is refused, and a case on the constraint variety is checked."""
     ident = [["1", "0"], ["0", "1"]]
     bundle = make_bundle(
         ["e1", "e2"],
@@ -88,9 +96,8 @@ def test_sampled_points_validated_on_both_paths():
     for name in ("tbp", "tbp-nlie"):
         with pytest.raises(NoSamplePoints):
             check_structure(name, bundle, "sampled", [])
-        with pytest.raises(ConstraintViolated):
-            check_structure(name, bundle, "sampled", [{"k1": 2, "k2": 3}])
-        assert check_structure(name, bundle, "sampled", [{"k1": 1, "k2": 3}]).passed
+        cases = point_cases(bundle, [{"k1": 1, "k2": 3}])
+        assert check_structure(name, bundle, "sampled", cases).passed
 
 
 def test_sampled_regular_fail_has_no_counterexample():
@@ -102,8 +109,8 @@ def test_sampled_regular_fail_has_no_counterexample():
         {"br": (2, {})},
         {"a": [["k1", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]},
     )
-    points = [{"k1": 3, "k2": 1}, {"k1": 0, "k2": 1}]
-    report = check_structure("bihom-lie-regular", bundle, "sampled", points)
+    cases = point_cases(bundle, [{"k1": 3, "k2": 1}, {"k1": 0, "k2": 1}])
+    report = check_structure("bihom-lie-regular", bundle, "sampled", cases)
     v = verdict(report, "regular(a)")
     assert (v.status, v.reason, v.counterexample) == ("fail", "determinant is zero", None)
     assert verdict(report, "regular(b)").passed and report.overall == "fail"
