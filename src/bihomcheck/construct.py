@@ -373,9 +373,7 @@ def ternary_from_product(bundle: AlgebraBundle, require: bool = True) -> Algebra
 # ---------------------------------------------------------------------------
 
 
-def truncated_polynomial_algebra(
-    names=("t",), order: int = 4, params=() , constraints=()
-) -> AlgebraBundle:
+def truncated_polynomial_algebra(names=("t",), order: int = 4) -> AlgebraBundle:
     """The commutative algebra of polynomials in the given variables with all
     monomials of total degree >= order cut off. Basis monomials are ordered
     by total degree then lexicographically (first variable outermost). Ships
@@ -405,8 +403,7 @@ def truncated_polynomial_algebra(
         return "*".join(factors)
 
     space = BasisSpace([label(e) for e in monomials])
-    params = tuple(params)
-    one, zero = Scalar.one(params), Scalar.zero(params)
+    one, zero = Scalar.one(), Scalar.zero()
     dim = space.dim
     constants = {}
     for i, ei in enumerate(monomials):
@@ -417,11 +414,8 @@ def truncated_polynomial_algebra(
                 vec = [zero] * dim
                 vec[k] = one
                 constants[(i, j)] = tuple(vec)
-    mul = MultiOp(space, params, 2, constants)
-    maps = {
-        "a": LinMap.identity(space, params),
-        "b": LinMap.identity(space, params),
-    }
+    mul = MultiOp(space, (), 2, constants)
+    maps = {"a": LinMap.identity(space, ()), "b": LinMap.identity(space, ())}
     for v, name in enumerate(names):
         rows = [[zero] * dim for _ in range(dim)]
         for j, e in enumerate(monomials):
@@ -429,13 +423,12 @@ def truncated_polynomial_algebra(
                 continue
             lower = list(e)
             lower[v] -= 1
-            rows[index[tuple(lower)]][j] = Scalar.rational(e[v], params)
-        maps[f"D{name}"] = LinMap(space, params, rows)
+            rows[index[tuple(lower)]][j] = Scalar.rational(e[v])
+        maps[f"D{name}"] = LinMap(space, (), rows)
     if nvars == 1:
         maps["D"] = maps[f"D{names[0]}"]
-    ring = Ring(params, constraints)
     prov = {
         "name": f"poly[{','.join(names)}]<{order}",
         "construction": "truncated-polynomial-algebra",
     }
-    return AlgebraBundle(space, ring, {"mul": mul}, maps, prov)
+    return AlgebraBundle(space, Ring(), {"mul": mul}, maps, prov)

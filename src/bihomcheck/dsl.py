@@ -14,6 +14,10 @@ Unary calls are bundle maps (an integer power suffix is allowed, e.g. b^-2);
 calls with two or more arguments are bundle operations. Names resolve against
 a bundle only at evaluation time.
 
+Tokenizer is the package's one scanner: scalars.parse_scalar reads
+coefficient text from its tokens too (that grammar adds "/" and refuses "#").
+Malformed text in either grammar raises TextSyntaxError with its position.
+
 An identity is stored as a flat sum of integer-weighted monomial trees: sums
 appearing inside call arguments are distributed out (maps are linear and ops
 multilinear, so this is exact). A cyclic sum is a term of the identity (or
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import IdentitySyntaxError, LinearityViolation
+from .errors import LinearityViolation, TextSyntaxError
 
 RESERVED = {"forall", "cyc"}
 
@@ -140,10 +144,14 @@ def validate_linearity(ident: Identity):
 # ---------------------------------------------------------------------------
 
 
-class _Tokenizer:
+class Tokenizer:
+    """Tokens of both text grammars, .idl laws and coefficients: ("name",
+    text, pos), ("nat", digits, pos), one punctuation character (kind and
+    text alike), and a final ("end", "", len(text)). Whitespace and "#"
+    comments are skipped."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.index = 0
@@ -166,17 +174,17 @@ class _Tokenizer:
                     pos += 1
                 self.tokens.append(("name", text[start:pos], start))
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 start = pos
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos].isdecimal():
                     pos += 1
                 self.tokens.append(("nat", text[start:pos], start))
                 continue
-            if ch in "+-*^(){},:=":
+            if ch in "+-*/^(){},:=":
                 self.tokens.append((ch, ch, pos))
                 pos += 1
                 continue
-            raise IdentitySyntaxError(pos, f"unexpected character {ch!r}")
+            raise TextSyntaxError(pos, f"unexpected character {ch!r}")
         self.tokens.append(("end", "", n))
 
     def peek(self):
@@ -191,29 +199,30 @@ class _Tokenizer:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise IdentitySyntaxError(tok[2], f"expected {kind!r}, got {tok[1]!r}")
+            raise TextSyntaxError(tok[2], f"expected {kind!r}, got {tok[1]!r}")
         return tok
 
-
-def _nat(tok) -> int:
-    try:
-        return int(tok[1])
-    except ValueError:  # more digits than int() converts
-        raise IdentitySyntaxError(tok[2], "number too long") from None
+    @staticmethod
+    def nat(tok) -> int:
+        """The value of a "nat" token."""
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than int() converts
+            raise TextSyntaxError(tok[2], "number too long") from None
 
 
 class _IdentityParser:
     """Recursive descent; returns identities as distributed term lists."""
 
     def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
+        self.toks = Tokenizer(text)
         self.call_depth = 0  # cyc sums are terms of an identity, never arguments
 
     def parse_identity(self) -> Identity:
         ident = self._identity()
         tok = self.toks.peek()
         if tok[0] != "end":
-            raise IdentitySyntaxError(tok[2], "trailing input after identity")
+            raise TextSyntaxError(tok[2], "trailing input after identity")
         return ident
 
     def parse_many(self) -> list:
@@ -226,19 +235,19 @@ class _IdentityParser:
     def _identity(self) -> Identity:
         tok = self.toks.expect("name")
         if tok[1] != "forall":
-            raise IdentitySyntaxError(tok[2], "identity must start with 'forall'")
+            raise TextSyntaxError(tok[2], "identity must start with 'forall'")
         names = [self._var_name()]
         while self.toks.peek()[0] == ",":
             self.toks.next()
             names.append(self._var_name())
         if len(set(names)) != len(names):
-            raise IdentitySyntaxError(tok[2], "duplicate variable in forall")
+            raise TextSyntaxError(tok[2], "duplicate variable in forall")
         self.toks.expect(":")
         terms = self._expr()
         self.toks.expect("=")
         zero = self.toks.expect("nat")
         if zero[1] != "0":
-            raise IdentitySyntaxError(zero[2], "right-hand side must be 0")
+            raise TextSyntaxError(zero[2], "right-hand side must be 0")
         ident = Identity(tuple(names), tuple(terms))
         validate_linearity(ident)
         return ident
@@ -246,7 +255,7 @@ class _IdentityParser:
     def _var_name(self) -> str:
         tok = self.toks.expect("name")
         if tok[1] in RESERVED:
-            raise IdentitySyntaxError(tok[2], f"{tok[1]!r} is reserved")
+            raise TextSyntaxError(tok[2], f"{tok[1]!r} is reserved")
         return tok[1]
 
     def _expr(self) -> list:
@@ -267,7 +276,7 @@ class _IdentityParser:
         tok = self.toks.peek()
         if tok[0] == "nat":
             self.toks.next()
-            coeff *= _nat(tok)
+            coeff *= self.toks.nat(tok)
             self.toks.expect("*")
         return [(coeff * c, node) for c, node in self._factor()]
 
@@ -279,12 +288,12 @@ class _IdentityParser:
             self.toks.expect(")")
             return inner
         if tok[0] != "name":
-            raise IdentitySyntaxError(tok[2], f"expected a factor, got {tok[1]!r}")
+            raise TextSyntaxError(tok[2], f"expected a factor, got {tok[1]!r}")
         self.toks.next()
         name = tok[1]
         if name == "cyc":
             if self.call_depth:
-                raise IdentitySyntaxError(tok[2], "cyc is not allowed inside a call")
+                raise TextSyntaxError(tok[2], "cyc is not allowed inside a call")
             return [self._cyc(tok[2])]
         power = None
         if self.toks.peek()[0] == "^":
@@ -293,9 +302,9 @@ class _IdentityParser:
         if self.toks.peek()[0] == "(":
             return self._call(name, power, tok[2])
         if power is not None:
-            raise IdentitySyntaxError(tok[2], "power suffix requires a call")
+            raise TextSyntaxError(tok[2], "power suffix requires a call")
         if name in RESERVED:
-            raise IdentitySyntaxError(tok[2], f"{name!r} is reserved")
+            raise TextSyntaxError(tok[2], f"{name!r} is reserved")
         return [(1, Var(name))]
 
     def _signed_int(self) -> int:
@@ -305,7 +314,7 @@ class _IdentityParser:
             self.toks.next()
             sign = -1
         tok = self.toks.expect("nat")
-        return sign * _nat(tok)
+        return sign * self.toks.nat(tok)
 
     def _cyc(self, pos: int):
         self.toks.expect("(")
@@ -315,7 +324,7 @@ class _IdentityParser:
             names.append(self._var_name())
         self.toks.expect(")")
         if len(set(names)) != len(names):
-            raise IdentitySyntaxError(pos, "duplicate variable in cyc")
+            raise TextSyntaxError(pos, "duplicate variable in cyc")
         self.toks.expect("{")
         body = self._expr()
         self.toks.expect("}")
@@ -338,7 +347,7 @@ class _IdentityParser:
                 out.append((c, node) if power == 0 else (c, MapApply(name, power, node)))
             return out
         if power is not None:
-            raise IdentitySyntaxError(pos, "power suffix is only allowed on maps")
+            raise TextSyntaxError(pos, "power suffix is only allowed on maps")
         # distribute: ops are multilinear in every slot
         out = [(1, ())]
         for args in arg_lists:
@@ -370,7 +379,7 @@ def parse_identity_file(text: str) -> dict:
             ids.append(stripped[len("# id:") :].strip())
     idents = parse_identities(text)
     if len(ids) != len(idents):
-        raise IdentitySyntaxError(
+        raise TextSyntaxError(
             0, f"file declares {len(idents)} identities but names {len(ids)}"
         )
     return dict(zip(ids, idents))

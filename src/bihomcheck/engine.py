@@ -64,7 +64,7 @@ from typing import Sequence
 
 from .bundle import AlgebraBundle
 from .dsl import Identity, MapApply, Var, expand_identity, parse_identity
-from .errors import ArityMismatch, NotInvertible, UnknownName
+from .errors import NotInvertible
 from .linear import MultiOp, Vector
 from .scalars import Scalar
 
@@ -171,17 +171,9 @@ class BoundIdentity:
         for key in names:
             kind, name, n = key
             if kind == "map":
-                m = bundle.maps.get(name)
-                if m is None:
-                    raise UnknownName(name, "no such map in the bundle")
-                resolved[key] = m.power(n)
+                resolved[key] = bundle.require_map(name).power(n)
             else:
-                op = bundle.ops.get(name)
-                if op is None:
-                    raise UnknownName(name, "no such operation in the bundle")
-                if op.arity != n:
-                    raise ArityMismatch(f"{name!r} has arity {op.arity}, called with {n}")
-                resolved[key] = op
+                resolved[key] = bundle.require_op(name, n)
         self.space, self.params = bundle.space, bundle.ring.params
         one = Scalar.one(self.params) if self.params else 1
         units = [{j: one} for j in range(self.space.dim)]

@@ -2,6 +2,9 @@
 
 Everything raised on purpose derives from BihomError so the CLI can catch one
 type, print a diagnostic and exit 2 instead of tracebacking on bad input.
+Each failure kind has one class: TextSyntaxError for malformed text in both
+grammars (coefficients and .idl laws, read by one tokenizer), MissingOp and
+MissingMap for a name a bundle does not provide, wherever it is looked up.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ class DenominatorVanishes(BihomError, ZeroDivisionError):
         super().__init__(msg)
 
 
-class ScalarSyntaxError(BihomError, ValueError):
-    """Malformed coefficient text; carries the offending position."""
+class TextSyntaxError(BihomError, ValueError):
+    """Malformed coefficient or identity DSL text; carries the offending
+    position."""
 
     def __init__(self, position: int, message: str):
         self.position = position
@@ -59,14 +63,6 @@ class NotInvertible(BihomError, ValueError):
         super().__init__(detail)
 
 
-class IdentitySyntaxError(BihomError, ValueError):
-    """Malformed identity DSL text; carries the offending position."""
-
-    def __init__(self, position: int, message: str):
-        self.position = position
-        super().__init__(f"at position {position}: {message}")
-
-
 class LinearityViolation(BihomError, ValueError):
     """A declared variable does not occur exactly once in some monomial."""
 
@@ -83,14 +79,6 @@ class LinearityViolation(BihomError, ValueError):
 class _PlainKeyError(BihomError, KeyError):
     def __str__(self):  # KeyError quotes its arg; keep the plain message
         return self.args[0]
-
-
-class UnknownName(_PlainKeyError):
-    """An identity mentions an op/map the bundle does not provide."""
-
-    def __init__(self, name: str, detail: str = ""):
-        self.name = name
-        super().__init__(f"unknown name {name!r}" + (f": {detail}" if detail else ""))
 
 
 class MissingOp(_PlainKeyError):

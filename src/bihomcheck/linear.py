@@ -123,9 +123,6 @@ class Vector:
             self.space, self.params, [a - b for a, b in zip(self.coords, other.coords)]
         )
 
-    def __neg__(self) -> "Vector":
-        return Vector(self.space, self.params, [-c for c in self.coords])
-
     def scale(self, s) -> "Vector":
         if isinstance(s, int):
             if s == 0:

@@ -27,12 +27,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
+from .dsl import Tokenizer
 from .errors import (
     BihomError,
     DenominatorVanishes,
     DivisionByZero,
     RingMismatch,
-    ScalarSyntaxError,
+    TextSyntaxError,
     UnknownParameter,
 )
 
@@ -123,18 +124,6 @@ class Poly:
                 elif e in out:
                     del out[e]
         return Poly(self.params, out)
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.const(self.params, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def scale(self, q) -> "Poly":
         q = Fraction(q)
@@ -301,7 +290,7 @@ class Scalar:
         c, d = other.as_fraction_pair()
         return _normalize(self.params, a * d + c * b, b * d)
 
-    __radd__ = __add__
+    __radd__ = __add__  # unused here; perfbench/tracer.py wraps it by name
 
     def __neg__(self) -> "Scalar":
         if self.rat is not None:
@@ -313,9 +302,6 @@ class Scalar:
         if self.rat is not None and other.rat is not None:
             return Scalar(self.params, self.rat - other.rat, None, None)
         return self + (-other)
-
-    def __rsub__(self, other) -> "Scalar":
-        return (-self) + other
 
     def __mul__(self, other) -> "Scalar":
         other = self._check(other)
@@ -338,9 +324,6 @@ class Scalar:
         a, b = self.as_fraction_pair()
         c, d = other.as_fraction_pair()
         return _normalize(self.params, a * d, b * c)
-
-    def __rtruediv__(self, other) -> "Scalar":
-        return Scalar.rational(other, self.params) / self
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -452,8 +435,10 @@ def _normalize(params: tuple, num: Poly, den: Poly) -> Scalar:
 #   sum   := prod (("+"|"-") prod)*
 #   prod  := pow (("*"|"/") pow)*
 #   pow   := atom ["^" nat]
-#   atom  := int | param | "(" sum ")" | "-" atom
+#   atom  := nat | param | "(" sum ")" | "-" atom
 #
+# Tokens come from dsl.Tokenizer, the scanner of .idl text. Its "#" comments
+# are not part of this grammar: a "#" is refused, so "1 # 2" never reads as 1.
 # "/" between factors is accepted so that computed fraction-field entries
 # (e.g. inverted structure maps) survive a save/load round trip; plain
 # rational literals like 3/4 are the common special case.
@@ -461,42 +446,27 @@ def _normalize(params: tuple, num: Poly, den: Poly) -> Scalar:
 
 class _ScalarParser:
     def __init__(self, text: str, params: tuple):
-        self.text = text
+        self.toks = Tokenizer(text)
+        if "#" in text:
+            raise TextSyntaxError(text.index("#"), "unexpected character '#'")
         self.params = params
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ScalarSyntaxError(self.pos, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
 
     def parse(self) -> Scalar:
         value = self.sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
+        tok = self.toks.peek()
+        if tok[0] != "end":
+            raise TextSyntaxError(tok[2], "trailing input")
         return value
 
     def sum(self) -> Scalar:
         value = self.prod()
         while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
+            kind = self.toks.peek()[0]
+            if kind == "+":
+                self.toks.next()
                 value = value + self.prod()
-            elif ch == "-":
-                self.pos += 1
+            elif kind == "-":
+                self.toks.next()
                 value = value - self.prod()
             else:
                 return value
@@ -504,59 +474,40 @@ class _ScalarParser:
     def prod(self) -> Scalar:
         value = self.pow()
         while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
+            tok = self.toks.peek()
+            if tok[0] == "*":
+                self.toks.next()
                 value = value * self.pow()
-            elif ch == "/":
-                self.pos += 1
+            elif tok[0] == "/":
+                self.toks.next()
                 rhs = self.pow()
                 if rhs.is_zero():
-                    self.error("division by zero")
+                    raise TextSyntaxError(tok[2], "division by zero")
                 value = value / rhs
             else:
                 return value
 
     def pow(self) -> Scalar:
         value = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected exponent")
-            value = value ** int(self.text[start : self.pos])
+        if self.toks.peek()[0] == "^":
+            self.toks.next()
+            value = value ** self.toks.nat(self.toks.expect("nat"))
         return value
 
     def atom(self) -> Scalar:
-        ch = self.peek()
-        if ch == "-":
+        tok = self.toks.next()
+        if tok[0] == "-":
             # unary minus binds looser than '^': -k^2 means -(k^2)
-            self.pos += 1
             return -self.pow()
-        if ch == "(":
-            self.pos += 1
+        if tok[0] == "(":
             value = self.sum()
-            self.take(")")
+            self.toks.expect(")")
             return value
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Scalar.rational(int(self.text[start : self.pos]), self.params)
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name not in self.params:
-                raise UnknownParameter(name)
-            return Scalar.var(self.params, name)
-        self.error("expected a number, parameter or '('")
+        if tok[0] == "nat":
+            return Scalar.rational(self.toks.nat(tok), self.params)
+        if tok[0] == "name":
+            return Scalar.var(self.params, tok[1])  # raises UnknownParameter
+        raise TextSyntaxError(tok[2], "expected a number, parameter or '('")
 
 
 def parse_scalar(text: str, params: Iterable[str] = ()) -> Scalar:

@@ -423,29 +423,25 @@ def check_suite(name: str, bundle: AlgebraBundle) -> Report:
 
 
 def check_nary_transposed(
-    bundle: AlgebraBundle,
-    op_name: str = "nbr",
-    mode: str = "symbolic",
-    cases=None,
-    seed=None,
+    bundle: AlgebraBundle, mode: str = "symbolic", cases=None, seed=None
 ) -> Report:
-    """Transposed compatibility and adjacent-swap skew laws for an n-ary
-    bracket. The n-ary Jacobi law is NOT checked: its general form is an
+    """Transposed compatibility and adjacent-swap skew laws for the n-ary
+    bracket nbr. The n-ary Jacobi law is NOT checked: its general form is an
     external definition this package does not restate."""
-    n = bundle.require_op(op_name).arity
-    skew = [(f"nskew-{i+1}{i+2}", nary_skew_identity(op_name, n, i)) for i in range(n - 1)]
+    n = bundle.require_op("nbr").arity
+    skew = [(f"nskew-{i+1}{i+2}", nary_skew_identity("nbr", n, i)) for i in range(n - 1)]
     defn = StructureDef(
         "tbp-nlie",
-        ((op_name, n), ("mul", 2)),
+        (("nbr", n), ("mul", 2)),
         ("a", "b"),
         (
             ("commute", "a", "b"),
-            ("multiplicative", "a", op_name),
-            ("multiplicative", "b", op_name),
+            ("multiplicative", "a", "nbr"),
+            ("multiplicative", "b", "nbr"),
             ("multiplicative", "a", "mul"),
             ("multiplicative", "b", "mul"),
         ),
-        ("comm", *skew, (f"ncompat({n})", nary_transposed_compat_identity(op_name, n))),
+        ("comm", *skew, (f"ncompat({n})", nary_transposed_compat_identity("nbr", n))),
     )
     report = check_definition(defn, bundle, mode, cases, seed)
     report.notes.append("n-ary Jacobi identity not checked (external definition)")

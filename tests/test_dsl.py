@@ -16,7 +16,7 @@ from bihomcheck.dsl import (
     parse_identity_file,
     print_identity,
 )
-from bihomcheck.errors import IdentitySyntaxError
+from bihomcheck.errors import TextSyntaxError
 from bihomcheck.structures import IDENTITIES
 
 TCOMPAT = (
@@ -66,7 +66,7 @@ def test_nonlinear_term_rejected():
 def test_overlong_number_is_a_syntax_error(text):
     """int() refuses more than 4300 digits with a ValueError; the parser
     reports it as a syntax error, so the CLI exits 2 instead of crashing."""
-    with pytest.raises(IdentitySyntaxError, match="number too long"):
+    with pytest.raises(TextSyntaxError, match="number too long"):
         parse_identity(text.format(n="1" * 5000))
 
 
@@ -95,28 +95,28 @@ def test_cyc_expansion_checked_for_linearity():
     ],
 )
 def test_cyc_inside_a_call_is_a_syntax_error(text, position):
-    with pytest.raises(IdentitySyntaxError, match=f"at position {position}: cyc"):
+    with pytest.raises(TextSyntaxError, match=f"at position {position}: cyc"):
         parse_identity(text)
 
 
 def test_syntax_error_position():
-    with pytest.raises(IdentitySyntaxError):
+    with pytest.raises(TextSyntaxError):
         parse_identity("forall x,: a(x) = 0")
-    with pytest.raises(IdentitySyntaxError):
+    with pytest.raises(TextSyntaxError):
         parse_identity("forall x: a(x) = 1")
-    with pytest.raises(IdentitySyntaxError):
+    with pytest.raises(TextSyntaxError):
         parse_identity("forall x: a(x = 0")
 
 
 def test_power_only_on_calls():
-    with pytest.raises(IdentitySyntaxError):
+    with pytest.raises(TextSyntaxError):
         parse_identity("forall x: mul^2(x, x) = 0")
-    with pytest.raises(IdentitySyntaxError):
+    with pytest.raises(TextSyntaxError):
         parse_identity("forall x: x^2 = 0")
 
 
 def test_reserved_names():
-    with pytest.raises(IdentitySyntaxError):
+    with pytest.raises(TextSyntaxError):
         parse_identity("forall cyc: a(cyc) = 0")
 
 

@@ -599,6 +599,14 @@ class TestCli:
         assert cli_main(["dsl", "check", str(idl), entry26_file]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_dsl_check_missing_map(self, entry26_file, tmp_path, capsys):
+        """A law naming a map the bundle lacks is the bundle's MissingMap
+        error, as in every other lookup of a name."""
+        idl = tmp_path / "missing.idl"
+        idl.write_text("# id: zz-law\nforall x,y: br(zz(x), y) = 0\n")
+        assert cli_main(["dsl", "check", str(idl), entry26_file]) == 2
+        assert capsys.readouterr().err == "error: bundle has no linear map 'zz'\n"
+
     @pytest.mark.parametrize(
         "text",
         ["forall x,y,z: mul(cyc(x,y){ br(x,y) }, z) = 0", "forall x: a(cyc(x){x}) = 0"],
@@ -629,8 +637,20 @@ HASH_SEED_CASES = {
         "construct", "twist", "{src}", "-o", "{out}", "--op", "mul=a^-1,b^2",
         "--allow-hypothesis-failures",
     ),
+    "construct-pre-lie": (
+        "construct", "pre-lie", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
+    ),
+    "construct-np-commutator": (
+        "construct", "np-commutator", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
+    ),
     "construct-ternary-d": (
         "construct", "ternary-d", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
+    ),
+    "construct-ternary-f": (
+        "construct", "ternary-f", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
+    ),
+    "construct-ternary-m": (
+        "construct", "ternary-m", "{src}", "-o", "{out}", "--allow-hypothesis-failures",
     ),
     "tensor": ("tensor", "{src}", "{src}", "--kind", "bp-tbp", "-o", "{out}"),
     "check-symbolic": ("check", "{src}", "--structure", "tbp", "--report", "{out}"),
@@ -644,16 +664,18 @@ HASH_SEED_CASES = {
         "catalog", "verify", "--entries", "16,20,26", "--mode", "sampled", "--seed", "2",
         "--report", "{out}",
     ),
+    "dsl-check": ("dsl", "check", "{idl}", "{src}"),
 }
 
 
 def hash_seed_source(case):
     """The input bundle of a case. construct gets a poly[t]<3 bundle whose a,
     b and D pairwise do not commute, so derivation-tbp records three
-    commutation warnings in the written bundle; ternary-d gets that
-    derivation-tbp output. check, identities and tensor get a dim-2 bundle
-    over Q(k1) on which every law they check fails, with residuals over
-    Q(k1) and, when sampled, over Q."""
+    commutation warnings in the written bundle; ternary-d and ternary-m get
+    that derivation-tbp output, ternary-f gets it with an involution f
+    added, and np-commutator gets the pre-lie output. check, identities,
+    tensor and dsl check get a dim-2 bundle over Q(k1) on which every law
+    they check fails, with residuals over Q(k1) and, when sampled, over Q."""
     if case.startswith("construct"):
         from bihomcheck.construct import truncated_polynomial_algebra
         from bihomcheck.linear import LinMap
@@ -667,10 +689,18 @@ def hash_seed_source(case):
         a = matrix([[1, 1, 0], [0, 2, 0], [0, 0, 4]])
         b = matrix([[1, 0, 0], [1, 3, 0], [0, 1, 9]])
         qt = qt.replace(maps={**qt.maps, "a": a, "b": b})
-        if case == "construct-ternary-d":
+        if case == "construct-np-commutator":
+            from bihomcheck.construct import pre_lie_from_derivation
+
+            return pre_lie_from_derivation(qt, require=False)
+        if case.startswith("construct-ternary"):
             from bihomcheck.construct import derivation_tbp
 
-            return derivation_tbp(qt, require=False)
+            tbp = derivation_tbp(qt, require=False)
+            if case == "construct-ternary-f":
+                f = matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+                tbp = tbp.replace(maps={**tbp.maps, "f": f})
+            return tbp
         return qt
     return make_bundle(
         ["e1", "e2"],
@@ -686,19 +716,21 @@ def hash_seed_source(case):
 @pytest.mark.parametrize("case", list(HASH_SEED_CASES))
 def test_written_bytes_do_not_depend_on_hash_seed(case, tmp_path):
     """Every byte-writing subcommand prints and writes the same bytes under
-    every PYTHONHASHSEED (hash seeds 0-3)."""
+    every PYTHONHASHSEED (hash seeds 0-3); dsl check prints only."""
     src = tmp_path / "input.bundle"
     save_bundle(hash_seed_source(case), src)
+    idl = resources.files("bihomcheck").joinpath("data/suites/thm25.idl")
     env = dict(os.environ, PYTHONPATH=str(Path(bihomcheck.__file__).parents[1]))
     outputs = set()
     for seed in range(4):
         out = tmp_path / f"out{seed}"
-        argv = [arg.format(src=src, out=out) for arg in HASH_SEED_CASES[case]]
+        argv = [arg.format(src=src, out=out, idl=idl) for arg in HASH_SEED_CASES[case]]
         run = subprocess.run(
             [sys.executable, "-m", "bihomcheck.cli", *argv],
             env={**env, "PYTHONHASHSEED": str(seed)},
             capture_output=True,
         )
         assert run.returncode in (0, 1), run.stderr
-        outputs.add((run.stdout.replace(bytes(out), b"OUT"), out.read_bytes()))
+        written = out.read_bytes() if "{out}" in HASH_SEED_CASES[case] else b""
+        outputs.add((run.stdout.replace(bytes(out), b"OUT"), written))
     assert len(outputs) == 1

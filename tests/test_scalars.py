@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihomcheck.cli import cli_main
 from bihomcheck.errors import (
     DenominatorVanishes,
     DivisionByZero,
     RingMismatch,
-    ScalarSyntaxError,
+    TextSyntaxError,
     UnknownParameter,
 )
 from bihomcheck.scalars import Poly, Scalar, parse_scalar
@@ -82,21 +84,61 @@ class TestParsing:
             parse_scalar("k5", ("k1", "k2", "k3", "k4"))
 
     def test_syntax_error_position(self):
-        with pytest.raises(ScalarSyntaxError) as info:
+        with pytest.raises(TextSyntaxError) as info:
             S("k1 + ")
         assert info.value.position == 5
 
     def test_trailing_garbage(self):
-        with pytest.raises(ScalarSyntaxError):
+        with pytest.raises(TextSyntaxError):
             S("k1 k2")
 
     def test_power_requires_natural(self):
-        with pytest.raises(ScalarSyntaxError):
+        with pytest.raises(TextSyntaxError):
             S("k1^-2")
 
     def test_mixed_rings_error(self):
         with pytest.raises(RingMismatch):
             S("k1") + parse_scalar("k1", ("k1",))
+
+
+# malformed coefficient texts and the position each is refused at; "1 # 2"
+# guards the refusal of "#", which in .idl text would start a comment, and
+# "2\u00b2" a digit character that int() does not convert
+MALFORMED = [
+    ("1 # 2", 2),
+    ("2\u00b2", 1),
+    ("k1 +", 4),
+    ("(k1", 3),
+    ("k1^-2", 3),
+    ("1/0", 1),
+    ("k1 k2", 3),
+    ("2 $ 3", 2),
+]
+
+
+@pytest.mark.parametrize("text, position", MALFORMED)
+def test_malformed_coefficient_text(text, position):
+    with pytest.raises(TextSyntaxError) as info:
+        S(text)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text, position", MALFORMED)
+def test_malformed_coefficient_in_bundle_exit_two(text, position, tmp_path, capsys):
+    """check on a bundle file that carries the text ends in one stderr line."""
+    data = {
+        "schema": 1,
+        "dim": 1,
+        "basis": ["e"],
+        "ring": {"params": list(P), "constraints": []},
+        "ops": {},
+        "maps": {"a": [[text]]},
+    }
+    path = tmp_path / "bad.bundle"
+    path.write_text(json.dumps(data))
+    assert cli_main(["check", str(path), "--structure", "bihom-comm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: at position {position}: ") and err.count("\n") == 1
 
 
 def _random_scalar(rng: random.Random) -> Scalar:
