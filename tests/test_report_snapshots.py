@@ -1,14 +1,19 @@
-"""Byte-stability snapshots of CLI reports.
+"""Byte-stability snapshots of CLI reports, printed output and `--help`.
 
 Each case runs one CLI command with `--report` and compares the sha256 of the
-written bytes with a pinned value. The pins were recorded before the verdict
-pipeline was consolidated; any change to a verdict, a counterexample, a
-reason text, a note or the key order of a report shows up here.
+written bytes and of the printed output with pinned values. The report pins
+were recorded before the verdict pipeline was consolidated; any change to a
+verdict, a counterexample, a reason text, a note or the key order of a report
+shows up here. The report sorts verdicts by id, so only the output pin fixes
+the order in which a definition runs its predicates and laws.
 """
 
 from __future__ import annotations
 
 import hashlib
+import platform
+import sys
+from importlib import resources
 
 import pytest
 
@@ -87,37 +92,154 @@ CASES = {
     "catalog-symbolic-seed1": ("catalog", "verify", "--mode", "symbolic", "--seed", "1"),
     "catalog-sampled-seed0": ("catalog", "verify", "--mode", "sampled", "--seed", "0"),
     "catalog-sampled-seed1": ("catalog", "verify", "--mode", "sampled", "--seed", "1"),
+    # dsl check writes no report: only its exit code and output are pinned
+    "dsl-check-eq2.20-e26": (
+        "dsl", "check", str(resources.files("bihomcheck") / "data/suites/eq2.20.idl"), "e26",
+    ),
 }
 
-# case -> (exit code, sha256 of the report bytes)
+# case -> (exit code, sha256 of the report bytes, sha256 of the output)
 PINNED = {
-    "catalog-sampled-seed0": (0, "b2e17731d6ec0213b6dc430b269c4e3d59fcc7be7ac33549da756fa599a4fa64"),
-    "catalog-sampled-seed1": (0, "fa158f263c8cb58eefb83ed479cb9b7d02a275d1ef84fbcb79b23344a933dc28"),
-    "catalog-symbolic-seed0": (0, "642348c3ba99fa65b2e4990aeb7e641a2eb035276a34b7351fe96d518e2dd522"),
-    "catalog-symbolic-seed1": (0, "cb784c8944b4e988c452abbdc6cc111a733dcba2ada016f8f7220fe07b615f92"),
-    "check-bp-sampled-e26": (1, "8e1a21aa7c858e1fcb85f6110b5808198927584f59eea2a694f994a9e76b7d87"),
-    "check-bp-symbolic-e26": (1, "f71ffdcd70a35d2b63ce805326580a743af9114f697198a1b8f9c9a6007f7327"),
-    "check-nlie-sampled-t6": (0, "ebdfffc914a108b02aee6f945bfadcdd4c3387808a1e912e78bd1a66b0a8b3ab"),
-    "check-nlie-symbolic-t6": (0, "d5d0938188f3333caad7a58ecaf058071fea6efce78392f821c91c9aa320468e"),
-    "check-regular-sampled-e26": (0, "0d2f2dce14b89fdcb6faa9ddd06e84cfca33a2f1477b38693909b9d84bb5e10f"),
-    "check-regular-symbolic-e24": (1, "345893dd154dba13524714a9bf99a021c3f47f30ec1de73820c9353080ef3d89"),
-    "check-regular-symbolic-e26": (0, "ff34586866b22388fbf075e0439866fc0e095c1224023f5acab9aaf38562d0d3"),
-    "check-strong-bp-symbolic-e26": (1, "83851a4caf6b376b8d447a68a4956379f56c4b824a5a391fc633c536e3f14c2e"),
-    "check-tbp-sampled-e26": (0, "df0218d3bbc2f37f4200444fdebf84576e771ce0385812048488b30d2f1550a0"),
-    "check-tbp-symbolic-e26": (0, "dc00c253eca63d3eb8cd6506ca94879d3a55f5cc47c9dfa35bb225775143c5f7"),
-    "identities-eq2.20-e24": (2, "c13bad9ba08aa351dca3f7f3317da5fb97ed1a4f3ec7f3f592f3ab2d9e911c11"),
-    "identities-eq2.20-e26": (1, "dd481792171a3972df2d402cbebe8a8796d6092ef83beebf421b68cde0706fb8"),
-    "identities-eq3.15-e24t": (2, "c94bb5209bf747738622543dc7e7732438a2a64d07cdaa26e21abe9fd6f553cb"),
-    "identities-eq3.15-t26": (0, "c5f51dc24ccebc5a922bcf4514e47f08fb1e148c807fceb6e529901450ff8979"),
-    "identities-eq3.15-t6": (1, "afaf94229382903204ada810051863aadb157b9c3a3a8413ee99e053f3ca44b7"),
-    "identities-eq3.18-e24t": (2, "285b2ccae941870cade53ee55e3a2c0041c7b80f8ebed2187f89ee9521a465cf"),
-    "identities-eq3.18-t26": (0, "d9eb29f3e012810438fff99ccd3e5edc664061f33438efb903203075bc514039"),
-    "identities-eq3.3-e24": (2, "1f395d40f75ba8afbcbaaaad92745655e94f45ba3428994cda8c70190c8ec7b9"),
-    "identities-eq3.3-e26": (0, "c906caa975f674cedfca91011a9c36cdfc5bf80eaa482341ec00249f453f8171"),
-    "identities-lemma31-e24": (2, "67b21a48ddaf02d727c647b605e81e144e1b3fe462a259b87a4f57b374ffb515"),
-    "identities-lemma31-e26": (0, "24556fa611430f07e86d77060eb2df3200ae94ddb83f7fa7fea85c6de957f449"),
-    "identities-thm25-e24": (0, "b95145cf38939db3d552af225b6147a284d5c2613b12d39bdb0982a0de48686f"),
-    "identities-thm25-e26": (0, "0c0e3dc388b78c9ca01ab7434d695a07acd62f62cf880b3d8f2a851f59644d17"),
+    "catalog-sampled-seed0": (
+        0,
+        "b2e17731d6ec0213b6dc430b269c4e3d59fcc7be7ac33549da756fa599a4fa64",
+        "72cacb05978d585b53a9b173eb12240426cb6c95bd2c0b4a59c36f16d1cf75ba",
+    ),
+    "catalog-sampled-seed1": (
+        0,
+        "fa158f263c8cb58eefb83ed479cb9b7d02a275d1ef84fbcb79b23344a933dc28",
+        "72cacb05978d585b53a9b173eb12240426cb6c95bd2c0b4a59c36f16d1cf75ba",
+    ),
+    "catalog-symbolic-seed0": (
+        0,
+        "642348c3ba99fa65b2e4990aeb7e641a2eb035276a34b7351fe96d518e2dd522",
+        "72cacb05978d585b53a9b173eb12240426cb6c95bd2c0b4a59c36f16d1cf75ba",
+    ),
+    "catalog-symbolic-seed1": (
+        0,
+        "cb784c8944b4e988c452abbdc6cc111a733dcba2ada016f8f7220fe07b615f92",
+        "72cacb05978d585b53a9b173eb12240426cb6c95bd2c0b4a59c36f16d1cf75ba",
+    ),
+    "check-bp-sampled-e26": (
+        1,
+        "8e1a21aa7c858e1fcb85f6110b5808198927584f59eea2a694f994a9e76b7d87",
+        "e5d10de6d98169daf15ff1a189729f03fa248d977f6a2f50cc2be3d90f9b1275",
+    ),
+    "check-bp-symbolic-e26": (
+        1,
+        "f71ffdcd70a35d2b63ce805326580a743af9114f697198a1b8f9c9a6007f7327",
+        "0189d8a40450f6f3b84b2f7d9b4eabef99837c6ddddf646d9cf724d88b00f54c",
+    ),
+    "check-nlie-sampled-t6": (
+        0,
+        "ebdfffc914a108b02aee6f945bfadcdd4c3387808a1e912e78bd1a66b0a8b3ab",
+        "d8f4d231b1c2a75613349cbf133d5a3e2b396a92c314c5752f1e7b02f880cad0",
+    ),
+    "check-nlie-symbolic-t6": (
+        0,
+        "d5d0938188f3333caad7a58ecaf058071fea6efce78392f821c91c9aa320468e",
+        "91da7dc31f2b4800444ba1c17919881fe88860426c698b7926845678181e2a0d",
+    ),
+    "check-regular-sampled-e26": (
+        0,
+        "0d2f2dce14b89fdcb6faa9ddd06e84cfca33a2f1477b38693909b9d84bb5e10f",
+        "779b8dd38d0594aaef5a9a25bdf889f308a55e6c0a5e5a929091adacd541d711",
+    ),
+    "check-regular-symbolic-e24": (
+        1,
+        "345893dd154dba13524714a9bf99a021c3f47f30ec1de73820c9353080ef3d89",
+        "d4c9aa49f4a9449280091694435b2449a92b0f5a4b9f66fb60d523a6d656037b",
+    ),
+    "check-regular-symbolic-e26": (
+        0,
+        "ff34586866b22388fbf075e0439866fc0e095c1224023f5acab9aaf38562d0d3",
+        "9ec404500fdae3becc22fc5dd8fa145115965133d2810981f4710c35f6fbeef0",
+    ),
+    "check-strong-bp-symbolic-e26": (
+        1,
+        "83851a4caf6b376b8d447a68a4956379f56c4b824a5a391fc633c536e3f14c2e",
+        "38881be4ef5d7f831576f5204c737dd303110b82278c942da94d432d8e5f23be",
+    ),
+    "check-tbp-sampled-e26": (
+        0,
+        "df0218d3bbc2f37f4200444fdebf84576e771ce0385812048488b30d2f1550a0",
+        "52838e82c65e335053e8eaa94d20872edafb9c53c785bda7505432eee3f1e8b3",
+    ),
+    "check-tbp-symbolic-e26": (
+        0,
+        "dc00c253eca63d3eb8cd6506ca94879d3a55f5cc47c9dfa35bb225775143c5f7",
+        "9f2c8374212120f7c97a97023673a9c3381ab3b92c3bfbdbd2108f0d6a0fcb09",
+    ),
+    "dsl-check-eq2.20-e26": (
+        1,
+        None,
+        "08eb5e64009582be6ac1a1dbb4e2fecb1eeb492331019f35619ea27573f29354",
+    ),
+    "identities-eq2.20-e24": (
+        2,
+        "c13bad9ba08aa351dca3f7f3317da5fb97ed1a4f3ec7f3f592f3ab2d9e911c11",
+        "41bda0137a4533bd9393b2d25797caf3b4e1e3b04be86f0d7a8e7370a2acba6c",
+    ),
+    "identities-eq2.20-e26": (
+        1,
+        "dd481792171a3972df2d402cbebe8a8796d6092ef83beebf421b68cde0706fb8",
+        "9f3b47fef7093964b3a4abf710b6554acee739a79254b7e9bead4333689f5d1c",
+    ),
+    "identities-eq3.15-e24t": (
+        2,
+        "c94bb5209bf747738622543dc7e7732438a2a64d07cdaa26e21abe9fd6f553cb",
+        "75b813e5445893bc31e3c53823df42a5778daba77cc8a4e1fe7fbf40de814ec4",
+    ),
+    "identities-eq3.15-t26": (
+        0,
+        "c5f51dc24ccebc5a922bcf4514e47f08fb1e148c807fceb6e529901450ff8979",
+        "344f44f3288d41882aa589e4af190a5f290df05b942632709fe6a062ee4f3cf2",
+    ),
+    "identities-eq3.15-t6": (
+        1,
+        "afaf94229382903204ada810051863aadb157b9c3a3a8413ee99e053f3ca44b7",
+        "0f844ea94c8a9a96ddb4ea508ab84c2b993a07ba475f191d0e09641b3ec8935f",
+    ),
+    "identities-eq3.18-e24t": (
+        2,
+        "285b2ccae941870cade53ee55e3a2c0041c7b80f8ebed2187f89ee9521a465cf",
+        "c62f38902b96f81b48018e660c33eab70b5e748d3ba423b2503b3f7de81da3d3",
+    ),
+    "identities-eq3.18-t26": (
+        0,
+        "d9eb29f3e012810438fff99ccd3e5edc664061f33438efb903203075bc514039",
+        "d2d79b08810a90cd5e0713bf9c41ac075ac10d2c6e5c85b13a7e3fde82988626",
+    ),
+    "identities-eq3.3-e24": (
+        2,
+        "1f395d40f75ba8afbcbaaaad92745655e94f45ba3428994cda8c70190c8ec7b9",
+        "021e4a108953b89bdea624b52592a627a09cf03445be9181c2871fadcc05df37",
+    ),
+    "identities-eq3.3-e26": (
+        0,
+        "c906caa975f674cedfca91011a9c36cdfc5bf80eaa482341ec00249f453f8171",
+        "31f20f8131d9a97fc15698bad8d02ce6929ba8544bc9d372dc3610bb84dd2025",
+    ),
+    "identities-lemma31-e24": (
+        2,
+        "67b21a48ddaf02d727c647b605e81e144e1b3fe462a259b87a4f57b374ffb515",
+        "b4227ed904ccd72bd3c06aa3229483d184e0e1c007b1ae340fcf0b1ed7ae2a7d",
+    ),
+    "identities-lemma31-e26": (
+        0,
+        "24556fa611430f07e86d77060eb2df3200ae94ddb83f7fa7fea85c6de957f449",
+        "1c0bdb352f6c2a455d2f4fee736ed2b3dff33172344690292020abca8769f783",
+    ),
+    "identities-thm25-e24": (
+        0,
+        "b95145cf38939db3d552af225b6147a284d5c2613b12d39bdb0982a0de48686f",
+        "d7cd8a4fb0ad509e821dc6d356c68a658f4bed276e54cdb086a774d924a09d5c",
+    ),
+    "identities-thm25-e26": (
+        0,
+        "0c0e3dc388b78c9ca01ab7434d695a07acd62f62cf880b3d8f2a851f59644d17",
+        "fb45799e44b666ffd29964a1943d38b836ff52fc084bbd9e89995970a12445f0",
+    ),
 }
 
 
@@ -131,12 +253,44 @@ def bundle_files(tmp_path_factory):
     return paths
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_pinned(case, bundle_files, tmp_path, capsys):
-    argv = list(CASES[case])
-    if argv[0] != "catalog":
-        argv[1] = bundle_files[argv[1]]
+    argv = [bundle_files.get(arg, arg) for arg in CASES[case]]
     report = tmp_path / "report.json"
-    code = cli_main(argv + ["--report", str(report)])
-    capsys.readouterr()
-    assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == PINNED[case]
+    if argv[0] != "dsl":
+        argv += ["--report", str(report)]
+    code = cli_main(argv)
+    out = capsys.readouterr().out.encode()
+    written = sha256(report.read_bytes()) if report.exists() else None
+    assert (code, written, sha256(out)) == PINNED[case]
+
+
+# --help of the top level and of every subcommand -> sha256 of the output
+HELP_PINNED = {
+    "": "2a7b0d17cfec507db582408c4b54dcf41fff285549706dd38a1e4d14a09d980b",
+    "catalog": "b5aed44f73c6598fbb591981a557076dc3b28bb4f902070c5c41a03366b10bb6",
+    "catalog list": "d565d7fb79869d92c8bc2b838241e4358ff17c568bb08e94295e98cd65eda126",
+    "catalog show": "527950e4b8ae6ec716d28b7e528b1a764c0c5529376f6c74d3d5d613912f7e32",
+    "catalog verify": "383aab2ffeb46f83749bf8ddafc4a72c629e55dea1e59a9b8e7393226dcb977d",
+    "check": "f3b5362ffba0920b0bd46a4b72f7b94dd7cb9cf369bf24a21adfcc7c7e309104",
+    "construct": "5329444e178c0c70a13d273d7c0450f6c691d4e8b6dd908a79add5ed500ace99",
+    "dsl": "3dc72e97531e2f1ac7efec0c80e7c9888dddc521f5d1cb873b57d4e2252131bc",
+    "dsl check": "3eadee1178ed8230b01d13b8b3abe92fa5c9c25e2290ecd64546fb65486ba8a2",
+    "identities": "f5051b75db21e7cca3ff57c6115dcca819c8c54bbbf096a432ed2888c105929b",
+    "tensor": "c35dec8bec9e7699fcd33c9c34f91d3627238441c431dc2f27013f43e85d7489",
+}
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
+    reason="the --help pins were recorded with the argparse of CPython 3.11",
+)
+@pytest.mark.parametrize("command", sorted(HELP_PINNED))
+def test_help_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_main([*command.split(), "--help"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == HELP_PINNED[command]
