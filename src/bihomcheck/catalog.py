@@ -3,8 +3,9 @@ a skew-symmetry completion solver for the bracket slots the listings leave
 implicit, and a verifier that produces a per-axiom report for each entry.
 
 The report columns are one StructureDef, CATALOG_AXES, run like every
-structure: verify_entry picks the cases (constraint branches, or sample
-points) and structures.check_definition turns them into the report.
+structure; its predicates and laws name the ops and maps they use.
+verify_entry picks the cases (constraint branches, or sample points) and
+structures.check_definition turns them into the report.
 sample_points is the package's one point sampler: `catalog verify` and
 `check --mode sampled` both run on the (point, specialised bundle) cases it
 draws, and it raises when it cannot draw as many as asked.
@@ -44,8 +45,6 @@ from .structures import Report, StructureDef, _predicate_id, check_definition
 # per-axiom columns of the catalog report, in report order
 CATALOG_AXES = StructureDef(
     "catalog-default",
-    (("mul", 2), ("br", 2)),
-    ("a", "b"),
     (
         ("commute", "a", "b"),
         ("multiplicative", "a", "mul"),
@@ -140,55 +139,33 @@ def solve_skew_completion(
 
     Works symbolically (generic parameters) or numerically depending on the
     ring the inputs live over."""
-    params = alpha.params
     dim = alpha.space.dim
     given_slots = set(tuple(s) for s in given_slots)
-    unknown_slots = [
-        (i, j)
-        for i in range(dim)
-        for j in range(dim)
-        if (i, j) not in given_slots
-    ]
-    col_of = {}
-    for slot in unknown_slots:
-        for comp in range(dim):
-            col_of[(slot, comp)] = len(col_of)
-    zero = Scalar.zero(params)
-
-    def known_value(slot) -> Sequence[Scalar]:
-        vec = given.get(slot)
-        if vec is None:
-            return (zero,) * dim
-        return vec
-
+    unknown_slots = [s for s in itertools.product(range(dim), repeat=2) if s not in given_slots]
+    col_of = {key: col for col, key in enumerate(itertools.product(unknown_slots, range(dim)))}
+    zero = Scalar.zero(alpha.params)
     rows, rhs = [], []
     for i in range(dim):
         for j in range(i, dim):
-            # br(b(ei), a(ej)) + br(b(ej), a(ei)), expanded bilinearly
-            coeff_cols = [dict() for _ in range(dim)]
+            # br(b(ei), a(ej)) + br(b(ej), a(ei)), expanded bilinearly: one
+            # row per component, each unknown column met by one (p, q) only
+            coeffs = [[zero] * len(col_of) for _ in range(dim)]
             const = [zero] * dim
-            for p in range(dim):
-                for q in range(dim):
-                    weight = beta.rows[p][i] * alpha.rows[q][j] + beta.rows[p][j] * alpha.rows[q][i]
-                    if weight.is_zero():
-                        continue
-                    if (p, q) in given_slots:
-                        vec = known_value((p, q))
-                        for comp in range(dim):
-                            if not vec[comp].is_zero():
-                                const[comp] = const[comp] + weight * vec[comp]
-                    else:
-                        for comp in range(dim):
-                            col = col_of[((p, q), comp)]
-                            bucket = coeff_cols[comp]
-                            bucket[col] = bucket.get(col, zero) + weight
-            for comp in range(dim):
-                row = [zero] * len(col_of)
-                for col, w in coeff_cols[comp].items():
-                    row[col] = w
-                if any(not c.is_zero() for c in row) or not const[comp].is_zero():
+            for p, q in itertools.product(range(dim), repeat=2):
+                weight = beta.rows[p][i] * alpha.rows[q][j] + beta.rows[p][j] * alpha.rows[q][i]
+                if weight.is_zero():
+                    continue
+                if (p, q) not in given_slots:
+                    for comp in range(dim):
+                        coeffs[comp][col_of[((p, q), comp)]] = weight
+                    continue
+                for comp, c in enumerate(given.get((p, q), ())):
+                    if not c.is_zero():
+                        const[comp] = const[comp] + weight * c
+            for row, c in zip(coeffs, const):
+                if any(not w.is_zero() for w in row) or not c.is_zero():
                     rows.append(row)
-                    rhs.append([-const[comp]])
+                    rhs.append([-c])
     pivots, rhs = gauss_jordan(rows, rhs, len(col_of))
     for r in rhs[len(pivots):]:
         if not r[0].is_zero():

@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the requested check passes overall, 1 when at least one
 verdict fails, 2 for anything else (inapplicable results, usage errors,
-malformed input). Malformed input never produces a traceback.
+malformed input). Malformed input never produces a traceback. Every report,
+including the one of `dsl check`, is built by structures.check_definition;
+this module prints and saves them.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .construct import (
     ternary_from_product,
     yau_twist,
 )
-from .engine import check_identity
 from .errors import BihomError
 from .fileio import canonical_json, load_bundle, load_identity_file, save_bundle, save_report
 from .rng import SplitRng
-from .structures import SUITES, Report, check_power_suite, check_structure, check_suite
+from .structures import SUITES, Report, StructureDef, check_definition, check_power_suite
+from .structures import check_structure, check_suite
 
 
 def _color_enabled() -> bool:
@@ -234,12 +236,9 @@ def _parse_entry_range(text: str) -> list:
 
 def cmd_dsl(args) -> int:
     bundle = load_bundle(args.bundle)
-    identities = load_identity_file(args.idl_file)
-    verdicts = [
-        check_identity(ident, bundle, identity_id)
-        for identity_id, ident in identities.items()
-    ]
-    report = Report(bundle.label(), f"dsl:{Path(args.idl_file).name}", "symbolic", verdicts)
+    laws = load_identity_file(args.idl_file)
+    defn = StructureDef(f"dsl:{Path(args.idl_file).name}", (), tuple(laws.items()))
+    report = check_definition(defn, bundle)
     _print_report(report)
     return _exit_code(report.overall)
 

@@ -333,8 +333,9 @@ class Scalar:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- equality by cross-multiplication ------------------------------------

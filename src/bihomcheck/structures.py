@@ -1,14 +1,18 @@
 """Named identity sets and the one runner that turns a bundle into a report.
 
-A StructureDef lists the ops and maps a check requires, its predicates
-(commutation, multiplicativity, regularity) and its laws, in report order.
-REGISTRY holds the structures of `check --structure`, SUITES the sets of
-`identities --set`, catalog.CATALOG_AXES the catalog report's columns.
-check_definition is the one runner: it runs any of them, or any other set
-of laws given as a StructureDef, over the bundle's ring or on (label,
-bundle) cases (constraint branches, or catalog.sample_points' specialised
-bundles) whose verdicts engine.merge combines; the plain overlap forms
-(REGULAR_ONLY) are inapplicable on singular maps.
+A StructureDef lists predicates (commutation, multiplicativity, regularity)
+and laws; every predicate runs before every law, in the order listed. It
+names no ops or maps: binding a law to a bundle (engine.BoundIdentity)
+resolves the names the law uses in first-use order, and the first one the
+bundle lacks raises MissingMap or MissingOp. REGISTRY holds the structures
+of `check --structure`, SUITES the sets of `identities --set`,
+catalog.CATALOG_AXES the catalog report's columns. check_definition is the
+one runner and the one place a Report is built: it runs any of them, or any
+other set of laws given as a StructureDef (the laws of a `dsl check` file),
+over the bundle's ring or on (label, bundle) cases (constraint branches, or
+catalog.sample_points' specialised bundles) whose verdicts engine.merge
+combines. The library's plain overlap forms (REGULAR_ONLY, named by id) are
+inapplicable on singular maps.
 
 Every law is .idl text decided by engine.check_identity: fixed laws sit in
 data/structures/*.idl and data/suites/*.idl under `# id:` comments, laws over
@@ -60,48 +64,35 @@ IDENTITIES: dict = _load_identity_library()
 @dataclass(frozen=True)
 class StructureDef:
     name: str
-    ops: tuple  # of (op name, arity)
-    maps: tuple
     predicates: tuple  # of ("commute", m1, m2) | ("multiplicative", m, op) | ("regular", m)
     identities: tuple  # identity ids (or (id, Identity) pairs), in report order
 
 
 def _compose(name, base_defs, identities):
-    """A definition inheriting everything of base_defs, plus identities."""
+    """A definition inheriting the predicates and laws of base_defs, plus
+    identities; every predicate runs before every law."""
 
     def union(attr, extra=()):
-        out = []
-        for item in itertools.chain(*(getattr(d, attr) for d in base_defs), extra):
-            if item not in out:
-                out.append(item)
-        return tuple(out)
+        return tuple(dict.fromkeys(itertools.chain(*(getattr(d, attr) for d in base_defs), extra)))
 
-    return StructureDef(
-        name, union("ops"), union("maps"), union("predicates"), union("identities", identities)
-    )
+    return StructureDef(name, union("predicates"), union("identities", identities))
 
 
 def _build_registry() -> dict:
     r: dict = {}
     r["bihom-assoc"] = StructureDef(
         "bihom-assoc",
-        (("mul", 2),),
-        ("a", "b"),
         (("commute", "a", "b"), ("multiplicative", "a", "mul"), ("multiplicative", "b", "mul")),
         ("assoc",),
     )
-    r["bihom-comm"] = StructureDef("bihom-comm", (("mul", 2),), ("a", "b"), (), ("comm",))
+    r["bihom-comm"] = StructureDef("bihom-comm", (), ("comm",))
     r["bihom-lie"] = StructureDef(
         "bihom-lie",
-        (("br", 2),),
-        ("a", "b"),
         (("commute", "a", "b"), ("multiplicative", "a", "br"), ("multiplicative", "b", "br")),
         ("skew", "jacobi"),
     )
     r["bihom-lie-regular"] = StructureDef(
         "bihom-lie-regular",
-        (("br", 2),),
-        ("a", "b"),
         (("commute", "a", "b"), ("regular", "a"), ("regular", "b")),
         ("jacobi-inv",),
     )
@@ -109,19 +100,9 @@ def _build_registry() -> dict:
     r["tbp"] = _compose("tbp", (r["bihom-comm"], r["bihom-lie"]), identities=("tcompat",))
     r["strong-bp"] = _compose("strong-bp", (r["bp"],), identities=("strongness",))
     r["bihom-novikov"] = StructureDef(
-        "bihom-novikov",
-        (("star", 2),),
-        ("a", "b"),
-        (("commute", "a", "b"),),
-        ("novikov-left", "novikov-right"),
+        "bihom-novikov", (("commute", "a", "b"),), ("novikov-left", "novikov-right")
     )
-    r["bihom-pre-lie"] = StructureDef(
-        "bihom-pre-lie",
-        (("star", 2),),
-        ("a", "b"),
-        (("commute", "a", "b"),),
-        ("novikov-left",),
-    )
+    r["bihom-pre-lie"] = StructureDef("bihom-pre-lie", (("commute", "a", "b"),), ("novikov-left",))
     r["bihom-np"] = _compose(
         "bihom-np",
         (r["bihom-comm"], r["bihom-novikov"]),
@@ -144,8 +125,6 @@ def _build_registry() -> dict:
     )
     r["3-bihom-lie"] = StructureDef(
         "3-bihom-lie",
-        (("tbr", 3),),
-        ("a", "b"),
         (("commute", "a", "b"), ("multiplicative", "a", "tbr"), ("multiplicative", "b", "tbr")),
         ("tskew-12", "tskew-23", "tjacobi"),
     )
@@ -169,24 +148,16 @@ SUITES = {
     d.name: d
     for d in (
         StructureDef(
-            "thm25",
-            (("mul", 2), ("br", 2)),
-            ("a", "b"),
-            (),
-            ("cyc-mul-br", "cyc-br-mul-br", "cyc-br-br-mul", "strongness"),
+            "thm25", (), ("cyc-mul-br", "cyc-br-mul-br", "cyc-br-br-mul", "strongness")
         ),
         StructureDef(
             "eq2.20",
-            (("mul", 2), ("br", 2)),
-            (),
             (),
             ("overlap-mul-br", "overlap-br-mul", "overlap-mul-br-plain", "overlap-br-mul-plain"),
         ),
-        StructureDef("eq3.3", (), (), (), ("power-fixed",)),
+        StructureDef("eq3.3", (), ("power-fixed",)),
         StructureDef(
             "eq3.15",
-            (("mul", 2), ("tbr", 3)),
-            (),
             (),
             (
                 "toverlap-mul-tbr",
@@ -195,11 +166,11 @@ SUITES = {
                 "toverlap-tbr-mul-plain",
             ),
         ),
-        StructureDef("eq3.18", (), (), (), ("invol-compat",)),
+        StructureDef("eq3.18", (), ("invol-compat",)),
     )
 }
 
-# reported inapplicable unless both structure maps are invertible
+# library laws reported inapplicable unless both structure maps are invertible
 REGULAR_ONLY = {
     "overlap-mul-br-plain",
     "overlap-br-mul-plain",
@@ -341,15 +312,11 @@ def _predicate_id(pred: tuple) -> str:
 def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
     kind, vid = pred[0], _predicate_id(pred)
     if kind == "commute":
-        _, m1, m2 = pred
-        bundle.require_map(m1)
-        bundle.require_map(m2)
-        return check_identity(commute_identity(m1, m2), bundle, vid)
+        return check_identity(commute_identity(*pred[1:]), bundle, vid)
     if kind == "multiplicative":
         _, m, opname = pred
-        op = bundle.require_op(opname)
-        bundle.require_map(m)
-        return check_identity(multiplicativity_identity(m, opname, op.arity), bundle, vid)
+        arity = bundle.require_op(opname).arity
+        return check_identity(multiplicativity_identity(m, opname, arity), bundle, vid)
     if kind == "regular":
         _, m = pred
         if not bundle.require_map(m).invertible():
@@ -359,21 +326,14 @@ def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
 
 
 def _verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:
-    for opname, arity in defn.ops:
-        bundle.require_op(opname, arity)
-    for m in defn.maps:
-        bundle.require_map(m)
     verdicts = [_predicate_verdict(p, bundle) for p in defn.predicates]
-    invertible = None
     for item in defn.identities:
-        vid, ident = (item, IDENTITIES[item]) if isinstance(item, str) else item
-        if vid in REGULAR_ONLY:
-            if invertible is None:
-                invertible = all(bundle.require_map(n).invertible() for n in ("a", "b"))
-            if not invertible:
-                verdicts.append(Verdict(vid, "inapplicable", "structure maps not invertible"))
-                continue
-        verdicts.append(check_identity(ident, bundle, vid))
+        if not isinstance(item, str):  # an (id, Identity) pair
+            verdicts.append(check_identity(item[1], bundle, item[0]))
+        elif item in REGULAR_ONLY and not all(bundle.require_map(n).invertible() for n in "ab"):
+            verdicts.append(Verdict(item, "inapplicable", "structure maps not invertible"))
+        else:
+            verdicts.append(check_identity(IDENTITIES[item], bundle, item))
     return verdicts
 
 
@@ -385,9 +345,8 @@ def check_definition(
     seed: int | None = None,
 ) -> Report:
     """Run a definition on a bundle over its ring, or on each given (label,
-    bundle) case: require its ops and maps, run its predicates and identities,
-    and merge the per-case verdicts. In mode "sampled" the report's points
-    are the case labels."""
+    bundle) case: run its predicates and identities, and merge the per-case
+    verdicts. In mode "sampled" the report's points are the case labels."""
     if mode not in ("symbolic", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if cases is None and mode == "symbolic":
@@ -432,8 +391,6 @@ def check_nary_transposed(
     skew = [(f"nskew-{i+1}{i+2}", nary_skew_identity("nbr", n, i)) for i in range(n - 1)]
     defn = StructureDef(
         "tbp-nlie",
-        (("nbr", n), ("mul", 2)),
-        ("a", "b"),
         (
             ("commute", "a", "b"),
             ("multiplicative", "a", "nbr"),
@@ -457,14 +414,13 @@ def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
     """f squares to the identity, anti-commutes with the bracket, and
     commutes with both structure maps."""
     f = map_name
-    bundle.require_map(f)
     others = [m for m in ("a", "b") if m in bundle.maps]
     laws = (
         (f"squares-to-identity({f})", _law(("x",), f"{f}({f}(x)) - x")),
         (f"anti-morphism({f},br)", anti_morphism_identity(f)),
         *((f"commute({f},{m})", commute_identity(f, m)) for m in others),
     )
-    return check_definition(StructureDef(f"involution({f})", (("br", 2),), (), (), laws), bundle)
+    return check_definition(StructureDef(f"involution({f})", (), laws), bundle)
 
 
 def check_power_suite(
@@ -485,5 +441,5 @@ def check_power_suite(
         for exps in exponent_tuples
         for which, tag in (("eq31", "power-1"), ("eq32", "power-2"))
     ]
-    defn = StructureDef("lemma31", (("mul", 2), ("br", 2)), (), (), (*laws, "power-fixed"))
+    defn = StructureDef("lemma31", (), (*laws, "power-fixed"))
     return check_definition(defn, bundle, seed=seed)

@@ -15,8 +15,6 @@ from bihomcheck.structures import StructureDef
 # regular twisted-commutative bundles, with those hypotheses as verdicts
 COMPAT_FORMS = StructureDef(
     "compat-equivalence",
-    (("mul", 2), ("star", 2)),
-    ("a", "b"),
     (("regular", "a"), ("regular", "b")),
     ("np-compat-right", "np-compat-assoc", "comm"),
 )

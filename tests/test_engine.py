@@ -103,7 +103,7 @@ def test_bind_resolves_names_in_first_use_order(text, first):
 def check_sampled(ident, bundle, points, identity_id="identity"):
     """One law checked at parameter points by the runner of every sampled
     check."""
-    defn = StructureDef(identity_id, (), (), (), ((identity_id, ident),))
+    defn = StructureDef(identity_id, (), ((identity_id, ident),))
     report = check_definition(defn, bundle, "sampled", point_cases(bundle, points))
     return verdict(report, identity_id)
 
@@ -128,7 +128,7 @@ def test_sampled_point_must_satisfy_constraints():
     cases = sample_points(bundle, 5, SplitRng(0).child("points"))
     assert len(cases) == 5
     assert all(bundle.ring.check_point(point) is None for point, _ in cases)
-    defn = StructureDef("comm", (), (), (), ("comm",))
+    defn = StructureDef("comm", (), ("comm",))
     assert check_definition(defn, bundle, "sampled", cases).passed
 
 

@@ -607,6 +607,18 @@ class TestCli:
         assert cli_main(["dsl", "check", str(idl), entry26_file]) == 2
         assert capsys.readouterr().err == "error: bundle has no linear map 'zz'\n"
 
+    def test_dsl_check_decides_a_law_named_like_a_gated_one(self, tmp_path, capsys):
+        """Only the library's plain overlap laws are inapplicable on singular
+        maps; a law of a .idl file is decided whatever its id."""
+        bundle = make_bundle(
+            ["e"], (), {"mul": (2, {(0, 0): ("1",)}), "br": (2, {})}, {"a": [["0"]], "b": [["1"]]}
+        )
+        save_bundle(bundle, tmp_path / "singular.json")
+        idl = tmp_path / "plain.idl"
+        idl.write_text("# id: overlap-mul-br-plain\nforall x,y,z: mul(z, br(x, y)) = 0\n")
+        assert cli_main(["dsl", "check", str(idl), str(tmp_path / "singular.json")]) == 0
+        assert "overlap-mul-br-plain             PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "text",
         ["forall x,y,z: mul(cyc(x,y){ br(x,y) }, z) = 0", "forall x: a(cyc(x){x}) = 0"],

@@ -70,6 +70,19 @@ class TestExamples:
         assert s.eval({"k1": Fraction(1, 2), "k2": Fraction(1, 3)}) == Fraction(2)
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    """s**n multiplies once per set bit and squares once per bit after the
+    first: no square past the top bit, whose result would go unused."""
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    base = S("k1 + 1")
+    for n in range(1, 34):
+        calls.clear()
+        assert (base**n).eval({"k1": 2, "k2": 0}) == 3**n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1"), n
+
+
 class TestParsing:
     def test_poly_terms(self):
         s = S("2*k1^2 - k2/3")

@@ -76,6 +76,17 @@ def test_missing_requirements(zero_bundle, entry26):
         check_structure("bihom-comm", no_maps)
 
 
+@pytest.mark.parametrize("name", ["tbp", "3-bihom-lie"])
+def test_missing_name_follows_first_use(name):
+    """The name reported missing is the first one the definition uses: the
+    first predicate, commute(a,b), meets the missing map b before any law
+    meets the missing bracket."""
+    bundle = make_bundle(["e"], (), {"mul": (2, {})}, {"a": [["1"]]})
+    with pytest.raises(MissingMap) as excinfo:
+        check_structure(name, bundle)
+    assert str(excinfo.value) == "bundle has no linear map 'b'"
+
+
 def test_sampled_structure_mode(entry26):
     cases = point_cases(entry26, [{"k1": 2, "k2": -7}])
     report = check_structure("tbp", entry26, "sampled", cases, seed=4)
@@ -177,7 +188,7 @@ def derivation_report(bundle, map_name, op_names):
         (f"derivation({map_name},{op})", derivation_identity(map_name, op, 2)) for op in op_names
     )
     preds = (("commute", map_name, "a"), ("commute", map_name, "b"))
-    return check_definition(StructureDef(f"derivation({map_name})", (), (), preds, laws), bundle)
+    return check_definition(StructureDef(f"derivation({map_name})", preds, laws), bundle)
 
 
 class TestDerivation:
