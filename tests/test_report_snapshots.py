@@ -27,6 +27,7 @@ from bihomcheck.construct import (
 )
 from bihomcheck.fileio import save_bundle
 from bihomcheck.linear import LinMap, MultiOp
+from bihomcheck.structures import REGISTRY
 from conftest import euler_map
 
 
@@ -53,6 +54,8 @@ def _bundles():
         # singular maps: the plain forms and invol-compat are inapplicable
         "e24t": e24t,
         "t6": t6.replace(ops={**t6.ops, "nbr": t6.ops["tbr"]}),
+        # every op a registered structure names, so each one runs to its end
+        "t6s": t6.replace(ops={**t6.ops, "nbr": t6.ops["tbr"], "star": t6.ops["mul"]}),
     }
 
 
@@ -97,6 +100,15 @@ CASES = {
         "dsl", "check", str(resources.files("bihomcheck") / "data/suites/eq2.20.idl"), "e26",
     ),
 }
+
+# every registered structure on one bundle: the output pin fixes the order in
+# which each definition prints its checks
+STRUCTURES = (
+    "3-bihom-lie", "bihom-assoc", "bihom-comm", "bihom-lie", "bihom-lie-regular",
+    "bihom-novikov", "bihom-np", "bihom-pre-lie", "bp", "bp-3lie", "diff-np",
+    "pre-lie-comm", "pre-lie-poisson", "strong-bp", "strong-bp-3lie", "tbp", "tbp-3lie",
+)
+CASES.update({f"check-{s}-t6s": ("check", "t6s", "--structure", s) for s in STRUCTURES})
 
 # case -> (exit code, sha256 of the report bytes, sha256 of the output)
 PINNED = {
@@ -240,6 +252,91 @@ PINNED = {
         "0c0e3dc388b78c9ca01ab7434d695a07acd62f62cf880b3d8f2a851f59644d17",
         "fb45799e44b666ffd29964a1943d38b836ff52fc084bbd9e89995970a12445f0",
     ),
+    "check-3-bihom-lie-t6s": (
+        0,
+        "550795eb57d230d18d8964e4a1d60245901152c6ef9d3076ec5caea9888862bf",
+        "b0b9439a859331c6c59eccf3c3da1945f6b7b36f3c2323d5c4e016e55a6e462c",
+    ),
+    "check-bihom-assoc-t6s": (
+        0,
+        "73c8bea07be3d40d184620becc1fe948bbb9a99cbeda9d2edc6cc79f9c3427ca",
+        "4e8cd09d664657586c9e9438f6a97ada9f3ba33015b3b6e8e3a4fc4a0d07403e",
+    ),
+    "check-bihom-comm-t6s": (
+        0,
+        "c1737d0a92c20243cdc9c16c863dba238ba98e00cfa18b27c7c8b5de728ce16a",
+        "b64edba3e3bb021e0bb744ceac5ce650175bc903843b8a500495784dd3f6afb0",
+    ),
+    "check-bihom-lie-t6s": (
+        0,
+        "4ff31b0000aef56cbe676fae428a9504bfe1fd9b3fb6f49b9d2be22db251f9ee",
+        "fbfb68654572eb4151d860f285e7532a880e9e94e8e62c84bc21c45eaf943f16",
+    ),
+    "check-bihom-lie-regular-t6s": (
+        0,
+        "6cc49a6dae0c7166fb07f6609be5820679784845bd64aa9ccb3d0f2f9f857ead",
+        "3427ae59f7650cbc4edba0f0a515d30342d4f8ae4b4e1625da5320508fdd404b",
+    ),
+    "check-bihom-novikov-t6s": (
+        0,
+        "ad42517b0974da0bb4965ac44fb33335dc596c46f06466659e294f5effe358c7",
+        "2afd762c12c614152545723502e9cb1520c7f762bebf98625b8a9302d9f7da7d",
+    ),
+    "check-bihom-np-t6s": (
+        0,
+        "3f74ae9f14ace3033eb6c70243dc6ef5a733ab94c3de02fe749ef1a64fd009a8",
+        "c88ee2db3e7876f2629bf12f16e2d5f0c7f3ff99af8aa4ac53291c333ffe1a48",
+    ),
+    "check-bihom-pre-lie-t6s": (
+        0,
+        "6551f2b3e71aa6900ac9f51b94ea6c86a7f572021e236d6901a91a34821352ad",
+        "825d6cbec6bedc5922fd66d8439f88dd3298d5d412dd6c23ceb13a486c6ed4f7",
+    ),
+    "check-bp-t6s": (
+        1,
+        "2c642d2c01441502f3e44a077505f471db4d05fbc0723f45b5e8ce6b3cca8515",
+        "3e9ddfc314c102658f3775745d5e3bf7e75cd120b0385beb1e01eb06fe7c5044",
+    ),
+    "check-bp-3lie-t6s": (
+        1,
+        "39d51075586575e14b15b10e4c61b8df388f38e735b67213f213913e5a043aca",
+        "7b95c59433a3e25520fe643d06316ec414d032d654e56e284180518eafba9701",
+    ),
+    "check-diff-np-t6s": (
+        1,
+        "e33529dd09fd611e6a78bdaf391ca91c145715073e60ce0fdd78d1366ce85f4a",
+        "8ab44bf18e72a37e64fb4c2fcaafbc1e064285d5d034d03131dac8d65811ae48",
+    ),
+    "check-pre-lie-comm-t6s": (
+        1,
+        "874a323a73373ce9e411ac38906ddcfee930cc1edc1eea7c02c24c17a8002f62",
+        "39f88cbc3eef79ae9dc981cdb44f0702b952ccfc192768e9e87c060ba0bd4316",
+    ),
+    "check-pre-lie-poisson-t6s": (
+        0,
+        "f81d8f4b079901a1ddabdd724ac24526f015a5f559aa1a52f38c37abb60a075c",
+        "808f8829d378dd41148e0aa7bede4368c9ad8255a7d999ecd67a1af3d3b57c9d",
+    ),
+    "check-strong-bp-t6s": (
+        1,
+        "e4590fd9a037e8b9288cd4ec3ce021dec5a7edccfd1046ba3aebc36c680cb9d1",
+        "cd05d0b84396f66f1eccb8a9c02b9e1dee1dd3d0dad0a8ffa4a2d4c907776fee",
+    ),
+    "check-strong-bp-3lie-t6s": (
+        1,
+        "bcb3eed7f3d85e35498e0c3d08c56a769f7ea391d1ce3ff90dd33e87b6d5fd5b",
+        "3fbe96b06b9fcc5a630ea45f1ddcd07cdd7c756df973068c0310aed1567a60a2",
+    ),
+    "check-tbp-t6s": (
+        0,
+        "52e8a300bc8587787a0f8338fd2626b303fc96cd0dafc7dedfcf6fad7101416c",
+        "336ed0faf3fdd596e19ace478d3e7815551ab20fe5361bec1dc65773f45c5a91",
+    ),
+    "check-tbp-3lie-t6s": (
+        0,
+        "6c38adf06fa5aa316808e1eb060c1cb9128dfd9b3343436a3c013b9c5083179a",
+        "a8377de6b484c0eebf0f5bb46aebcb61717fdb908ee402cd0268462996677e16",
+    ),
 }
 
 
@@ -267,6 +364,10 @@ def test_report_bytes_pinned(case, bundle_files, tmp_path, capsys):
     out = capsys.readouterr().out.encode()
     written = sha256(report.read_bytes()) if report.exists() else None
     assert (code, written, sha256(out)) == PINNED[case]
+
+
+def test_every_structure_pinned():
+    assert STRUCTURES == tuple(sorted(REGISTRY))
 
 
 # --help of the top level and of every subcommand -> sha256 of the output
