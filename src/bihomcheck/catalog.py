@@ -3,7 +3,7 @@ a skew-symmetry completion solver for the bracket slots the listings leave
 implicit, and a verifier that produces a per-axiom report for each entry.
 
 The report columns are one StructureDef, CATALOG_AXES, run like every
-structure; its predicates and laws name the ops and maps they use.
+structure: one list of checks, whose ids are the columns (AXIS_IDS).
 verify_entry picks the cases (constraint branches, or sample points) and
 structures.check_definition turns them into the report.
 sample_points is the package's one point sampler: `catalog verify` and
@@ -40,22 +40,19 @@ from .errors import BihomError, Inconsistent, NoSamplePoints, UnknownEntry
 from .linear import LinMap, MultiOp, gauss_jordan
 from .rng import SplitRng
 from .scalars import Scalar, parse_scalar
-from .structures import Report, StructureDef, _predicate_id, check_definition
+from .structures import Report, StructureDef, check_definition, multiplicative, twisted
 
 # per-axiom columns of the catalog report, in report order
 CATALOG_AXES = StructureDef(
     "catalog-default",
     (
-        ("commute", "a", "b"),
-        ("multiplicative", "a", "mul"),
-        ("multiplicative", "b", "mul"),
-        ("multiplicative", "a", "br"),
-        ("multiplicative", "b", "br"),
+        *twisted("mul"),
+        *(multiplicative(m, "br", 2) for m in "ab"),
+        "comm", "assoc", "skew", "jacobi", "tcompat",
     ),
-    ("comm", "assoc", "skew", "jacobi", "tcompat"),
 )
 
-AXIS_IDS = tuple(map(_predicate_id, CATALOG_AXES.predicates)) + CATALOG_AXES.identities
+AXIS_IDS = tuple(c if isinstance(c, str) else c[0] for c in CATALOG_AXES.checks)
 
 
 @dataclass

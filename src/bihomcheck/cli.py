@@ -237,7 +237,7 @@ def _parse_entry_range(text: str) -> list:
 def cmd_dsl(args) -> int:
     bundle = load_bundle(args.bundle)
     laws = load_identity_file(args.idl_file)
-    defn = StructureDef(f"dsl:{Path(args.idl_file).name}", (), tuple(laws.items()))
+    defn = StructureDef(f"dsl:{Path(args.idl_file).name}", tuple(laws.items()))
     report = check_definition(defn, bundle)
     _print_report(report)
     return _exit_code(report.overall)

@@ -1,36 +1,37 @@
 """Named identity sets and the one runner that turns a bundle into a report.
 
-A StructureDef lists predicates (commutation, multiplicativity, regularity)
-and laws; every predicate runs before every law, in the order listed. It
-names no ops or maps: binding a law to a bundle (engine.BoundIdentity)
-resolves the names the law uses in first-use order, and the first one the
-bundle lacks raises MissingMap or MissingOp. REGISTRY holds the structures
-of `check --structure`, SUITES the sets of `identities --set`,
-catalog.CATALOG_AXES the catalog report's columns. check_definition is the
-one runner and the one place a Report is built: it runs any of them, or any
-other set of laws given as a StructureDef (the laws of a `dsl check` file),
-over the bundle's ring or on (label, bundle) cases (constraint branches, or
-catalog.sample_points' specialised bundles) whose verdicts engine.merge
-combines. The library's plain overlap forms (REGULAR_ONLY, named by id) are
-inapplicable on singular maps.
+A StructureDef is a name and one list of checks, run and printed in the
+order listed. Each check is a library law id, an (id, Identity) pair, or
+regular(m). The pairs include the structure maps' own axioms, written by
+commute, multiplicative and twisted; regular(m), a determinant test, is the
+one check that is not a law. A definition names no ops or maps: binding a
+law to a bundle (engine.BoundIdentity) resolves the names the law uses in
+first-use order, and the first one the bundle lacks raises MissingMap or
+MissingOp. REGISTRY holds the structures of `check --structure`, SUITES the
+sets of `identities --set`, catalog.CATALOG_AXES the catalog report's
+columns. check_definition is the one runner and the one place a Report is
+built: it runs any of them, or any other set of laws given as a
+StructureDef (the laws of a `dsl check` file), over the bundle's ring or on
+(label, bundle) cases (constraint branches, or catalog.sample_points'
+specialised bundles) whose verdicts engine.merge combines. The library's
+plain overlap forms (REGULAR_ONLY, named by id) are inapplicable on
+singular maps.
 
 Every law is .idl text decided by engine.check_identity: fixed laws sit in
 data/structures/*.idl and data/suites/*.idl under `# id:` comments, laws over
-given names or an arity are written as text here. Only regularity (a
-determinant test) and composition are not laws. Predicates are verdicts of
-their own, so a bundle that satisfies the laws but not multiplicativity is
+given names or an arity are written as text here. Each check is a verdict
+of its own, so a bundle that satisfies the laws but not multiplicativity is
 described honestly instead of collapsing into a single verdict.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
-from .bundle import AlgebraBundle
+from .bundle import CONVENTIONAL_ARITIES, AlgebraBundle
 from .dsl import Identity, parse_identity, parse_identity_file
 from .engine import (
     FIXED_EXPONENTS,
@@ -59,168 +60,6 @@ def _load_identity_library() -> dict:
 
 
 IDENTITIES: dict = _load_identity_library()
-
-
-@dataclass(frozen=True)
-class StructureDef:
-    name: str
-    predicates: tuple  # of ("commute", m1, m2) | ("multiplicative", m, op) | ("regular", m)
-    identities: tuple  # identity ids (or (id, Identity) pairs), in report order
-
-
-def _compose(name, base_defs, identities):
-    """A definition inheriting the predicates and laws of base_defs, plus
-    identities; every predicate runs before every law."""
-
-    def union(attr, extra=()):
-        return tuple(dict.fromkeys(itertools.chain(*(getattr(d, attr) for d in base_defs), extra)))
-
-    return StructureDef(name, union("predicates"), union("identities", identities))
-
-
-def _build_registry() -> dict:
-    r: dict = {}
-    r["bihom-assoc"] = StructureDef(
-        "bihom-assoc",
-        (("commute", "a", "b"), ("multiplicative", "a", "mul"), ("multiplicative", "b", "mul")),
-        ("assoc",),
-    )
-    r["bihom-comm"] = StructureDef("bihom-comm", (), ("comm",))
-    r["bihom-lie"] = StructureDef(
-        "bihom-lie",
-        (("commute", "a", "b"), ("multiplicative", "a", "br"), ("multiplicative", "b", "br")),
-        ("skew", "jacobi"),
-    )
-    r["bihom-lie-regular"] = StructureDef(
-        "bihom-lie-regular",
-        (("commute", "a", "b"), ("regular", "a"), ("regular", "b")),
-        ("jacobi-inv",),
-    )
-    r["bp"] = _compose("bp", (r["bihom-comm"], r["bihom-lie"]), identities=("leibniz",))
-    r["tbp"] = _compose("tbp", (r["bihom-comm"], r["bihom-lie"]), identities=("tcompat",))
-    r["strong-bp"] = _compose("strong-bp", (r["bp"],), identities=("strongness",))
-    r["bihom-novikov"] = StructureDef(
-        "bihom-novikov", (("commute", "a", "b"),), ("novikov-left", "novikov-right")
-    )
-    r["bihom-pre-lie"] = StructureDef("bihom-pre-lie", (("commute", "a", "b"),), ("novikov-left",))
-    r["bihom-np"] = _compose(
-        "bihom-np",
-        (r["bihom-comm"], r["bihom-novikov"]),
-        identities=("np-compat-left", "np-compat-right"),
-    )
-    r["pre-lie-comm"] = _compose(
-        "pre-lie-comm",
-        (r["bihom-comm"], r["bihom-pre-lie"]),
-        identities=("prelie-comm-compat",),
-    )
-    r["diff-np"] = _compose(
-        "diff-np",
-        (r["bihom-comm"], r["bihom-novikov"]),
-        identities=("np-compat-right", "prelie-comm-compat"),
-    )
-    r["pre-lie-poisson"] = _compose(
-        "pre-lie-poisson",
-        (r["bihom-comm"], r["bihom-pre-lie"]),
-        identities=("np-compat-left", "np-compat-right"),
-    )
-    r["3-bihom-lie"] = StructureDef(
-        "3-bihom-lie",
-        (("commute", "a", "b"), ("multiplicative", "a", "tbr"), ("multiplicative", "b", "tbr")),
-        ("tskew-12", "tskew-23", "tjacobi"),
-    )
-    r["bp-3lie"] = _compose(
-        "bp-3lie", (r["bihom-comm"], r["3-bihom-lie"]), identities=("tleibniz",)
-    )
-    r["strong-bp-3lie"] = _compose(
-        "strong-bp-3lie", (r["bp-3lie"],), identities=("tstrongness",)
-    )
-    r["tbp-3lie"] = _compose(
-        "tbp-3lie", (r["bihom-comm"], r["3-bihom-lie"]), identities=("tcompat3",)
-    )
-    return r
-
-
-REGISTRY: dict = _build_registry()
-
-# the identity sets of `identities --set`; lemma31 (check_power_suite) draws
-# its exponent tuples at run time, so it is not a table entry
-SUITES = {
-    d.name: d
-    for d in (
-        StructureDef(
-            "thm25", (), ("cyc-mul-br", "cyc-br-mul-br", "cyc-br-br-mul", "strongness")
-        ),
-        StructureDef(
-            "eq2.20",
-            (),
-            ("overlap-mul-br", "overlap-br-mul", "overlap-mul-br-plain", "overlap-br-mul-plain"),
-        ),
-        StructureDef("eq3.3", (), ("power-fixed",)),
-        StructureDef(
-            "eq3.15",
-            (),
-            (
-                "toverlap-mul-tbr",
-                "toverlap-tbr-mul",
-                "toverlap-mul-tbr-plain",
-                "toverlap-tbr-mul-plain",
-            ),
-        ),
-        StructureDef("eq3.18", (), ("invol-compat",)),
-    )
-}
-
-# library laws reported inapplicable unless both structure maps are invertible
-REGULAR_ONLY = {
-    "overlap-mul-br-plain",
-    "overlap-br-mul-plain",
-    "toverlap-mul-tbr-plain",
-    "toverlap-tbr-mul-plain",
-}
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Report:
-    bundle: str
-    structure: str
-    mode: str  # "symbolic" | "sampled"
-    verdicts: list
-    seed: int | None = None
-    points: list | None = None
-    notes: list = field(default_factory=list)
-
-    @property
-    def overall(self) -> str:
-        if any(v.status == "fail" for v in self.verdicts):
-            return "fail"
-        if any(v.status == "inapplicable" for v in self.verdicts):
-            return "inapplicable"
-        return "pass"
-
-    @property
-    def passed(self) -> bool:
-        return self.overall == "pass"
-
-    def to_dict(self) -> dict:
-        out = {
-            "bundle": self.bundle,
-            "structure": self.structure,
-            "mode": self.mode,
-            "overall": self.overall,
-            "verdicts": [v.to_dict() for v in sorted(self.verdicts, key=lambda v: v.identity)],
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.points is not None:
-            out["points"] = [{k: str(v) for k, v in p.items()} for p in self.points]
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,40 +140,159 @@ def nary_transposed_compat_identity(op_name: str, n: int) -> Identity:
 
 
 # ---------------------------------------------------------------------------
-# predicate and identity evaluation
+# definitions
 # ---------------------------------------------------------------------------
 
 
-def _predicate_id(pred: tuple) -> str:
-    return f"{pred[0]}({','.join(pred[1:])})"
+@dataclass(frozen=True)
+class StructureDef:
+    name: str
+    # in report order: library law ids, (id, Identity) pairs, and
+    # regular(m) = (id, map name), the one check that is not a law
+    checks: tuple
 
 
-def _predicate_verdict(pred: tuple, bundle: AlgebraBundle) -> Verdict:
-    kind, vid = pred[0], _predicate_id(pred)
-    if kind == "commute":
-        return check_identity(commute_identity(*pred[1:]), bundle, vid)
-    if kind == "multiplicative":
-        _, m, opname = pred
-        arity = bundle.require_op(opname).arity
-        return check_identity(multiplicativity_identity(m, opname, arity), bundle, vid)
-    if kind == "regular":
-        _, m = pred
-        if not bundle.require_map(m).invertible():
-            return Verdict(vid, "fail", reason="determinant is zero")
-        return Verdict(vid, "pass")
-    raise ValueError(f"unknown predicate {pred!r}")
+def commute(m1: str, m2: str) -> tuple:
+    return f"commute({m1},{m2})", commute_identity(m1, m2)
 
 
-def _verdicts(defn: StructureDef, bundle: AlgebraBundle) -> list:
-    verdicts = [_predicate_verdict(p, bundle) for p in defn.predicates]
-    for item in defn.identities:
-        if not isinstance(item, str):  # an (id, Identity) pair
-            verdicts.append(check_identity(item[1], bundle, item[0]))
-        elif item in REGULAR_ONLY and not all(bundle.require_map(n).invertible() for n in "ab"):
-            verdicts.append(Verdict(item, "inapplicable", "structure maps not invertible"))
-        else:
-            verdicts.append(check_identity(IDENTITIES[item], bundle, item))
-    return verdicts
+def multiplicative(m: str, op: str, arity: int) -> tuple:
+    return f"multiplicative({m},{op})", multiplicativity_identity(m, op, arity)
+
+
+def twisted(op_name: str) -> tuple:
+    """a and b commute and are multiplicative for op_name."""
+    arity = CONVENTIONAL_ARITIES[op_name]
+    return commute("a", "b"), *(multiplicative(m, op_name, arity) for m in "ab")
+
+
+def regular(map_name: str) -> tuple:
+    """The map is invertible (a determinant test, not a law)."""
+    return f"regular({map_name})", map_name
+
+
+REGISTRY = {
+    name: StructureDef(name, checks)
+    for name, checks in {
+        "bihom-assoc": (*twisted("mul"), "assoc"),
+        "bihom-comm": ("comm",),
+        "bihom-lie": (*twisted("br"), "skew", "jacobi"),
+        "bihom-lie-regular": (commute("a", "b"), regular("a"), regular("b"), "jacobi-inv"),
+        "bp": (*twisted("br"), "comm", "skew", "jacobi", "leibniz"),
+        "tbp": (*twisted("br"), "comm", "skew", "jacobi", "tcompat"),
+        "strong-bp": (*twisted("br"), "comm", "skew", "jacobi", "leibniz", "strongness"),
+        "bihom-novikov": (commute("a", "b"), "novikov-left", "novikov-right"),
+        "bihom-pre-lie": (commute("a", "b"), "novikov-left"),
+        "bihom-np": (
+            commute("a", "b"), "comm", "novikov-left", "novikov-right",
+            "np-compat-left", "np-compat-right",
+        ),
+        "pre-lie-comm": (commute("a", "b"), "comm", "novikov-left", "prelie-comm-compat"),
+        "diff-np": (
+            commute("a", "b"), "comm", "novikov-left", "novikov-right",
+            "np-compat-right", "prelie-comm-compat",
+        ),
+        "pre-lie-poisson": (
+            commute("a", "b"), "comm", "novikov-left", "np-compat-left", "np-compat-right",
+        ),
+        "3-bihom-lie": (*twisted("tbr"), "tskew-12", "tskew-23", "tjacobi"),
+        "bp-3lie": (*twisted("tbr"), "comm", "tskew-12", "tskew-23", "tjacobi", "tleibniz"),
+        "strong-bp-3lie": (
+            *twisted("tbr"), "comm", "tskew-12", "tskew-23", "tjacobi", "tleibniz",
+            "tstrongness",
+        ),
+        "tbp-3lie": (*twisted("tbr"), "comm", "tskew-12", "tskew-23", "tjacobi", "tcompat3"),
+    }.items()
+}
+
+# the identity sets of `identities --set`; lemma31 (check_power_suite) draws
+# its exponent tuples at run time, so it is not a table entry
+SUITES = {
+    name: StructureDef(name, checks)
+    for name, checks in {
+        "thm25": ("cyc-mul-br", "cyc-br-mul-br", "cyc-br-br-mul", "strongness"),
+        "eq2.20": (
+            "overlap-mul-br", "overlap-br-mul", "overlap-mul-br-plain", "overlap-br-mul-plain",
+        ),
+        "eq3.3": ("power-fixed",),
+        "eq3.15": (
+            "toverlap-mul-tbr", "toverlap-tbr-mul",
+            "toverlap-mul-tbr-plain", "toverlap-tbr-mul-plain",
+        ),
+        "eq3.18": ("invol-compat",),
+    }.items()
+}
+
+# library laws reported inapplicable unless both structure maps are invertible
+REGULAR_ONLY = {
+    "overlap-mul-br-plain",
+    "overlap-br-mul-plain",
+    "toverlap-mul-tbr-plain",
+    "toverlap-tbr-mul-plain",
+}
+
+
+# ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Report:
+    bundle: str
+    structure: str
+    mode: str  # "symbolic" | "sampled"
+    verdicts: list
+    seed: int | None = None
+    points: list | None = None
+    notes: list = field(default_factory=list)
+
+    @property
+    def overall(self) -> str:
+        if any(v.status == "fail" for v in self.verdicts):
+            return "fail"
+        if any(v.status == "inapplicable" for v in self.verdicts):
+            return "inapplicable"
+        return "pass"
+
+    @property
+    def passed(self) -> bool:
+        return self.overall == "pass"
+
+    def to_dict(self) -> dict:
+        out = {
+            "bundle": self.bundle,
+            "structure": self.structure,
+            "mode": self.mode,
+            "overall": self.overall,
+            "verdicts": [v.to_dict() for v in sorted(self.verdicts, key=lambda v: v.identity)],
+        }
+        if self.seed is not None:
+            out["seed"] = self.seed
+        if self.points is not None:
+            out["points"] = [{k: str(v) for k, v in p.items()} for p in self.points]
+        if self.notes:
+            out["notes"] = list(self.notes)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# running a definition
+# ---------------------------------------------------------------------------
+
+
+def _verdict(item, bundle: AlgebraBundle) -> Verdict:
+    """The verdict of one check of a definition on a bundle."""
+    if isinstance(item, str):
+        if item in REGULAR_ONLY and not all(bundle.require_map(n).invertible() for n in "ab"):
+            return Verdict(item, "inapplicable", "structure maps not invertible")
+        return check_identity(IDENTITIES[item], bundle, item)
+    vid, law = item
+    if isinstance(law, Identity):
+        return check_identity(law, bundle, vid)
+    if not bundle.require_map(law).invertible():  # regular(law)
+        return Verdict(vid, "fail", reason="determinant is zero")
+    return Verdict(vid, "pass")
 
 
 def check_definition(
@@ -345,7 +303,7 @@ def check_definition(
     seed: int | None = None,
 ) -> Report:
     """Run a definition on a bundle over its ring, or on each given (label,
-    bundle) case: run its predicates and identities, and merge the per-case
+    bundle) case: run its checks in order, and merge the per-case
     verdicts. In mode "sampled" the report's points are the case labels."""
     if mode not in ("symbolic", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -353,7 +311,7 @@ def check_definition(
         cases = [(None, bundle)]
     if not cases:
         raise NoSamplePoints()
-    verdicts = merge([(label, _verdicts(defn, case)) for label, case in cases])
+    verdicts = merge([(label, [_verdict(c, case) for c in defn.checks]) for label, case in cases])
     points = [label for label, _ in cases] if mode == "sampled" else None
     return Report(bundle.label(), defn.name, mode, verdicts, seed=seed, points=points)
 
@@ -365,7 +323,7 @@ def check_structure(
     cases: Sequence[tuple] | None = None,
     seed: int | None = None,
 ) -> Report:
-    """Run a registered structure's predicates and identities on a bundle
+    """Run a registered structure's checks on a bundle
     (see check_definition for the modes and cases)."""
     if name == "tbp-nlie":
         return check_nary_transposed(bundle, mode=mode, cases=cases, seed=seed)
@@ -392,13 +350,13 @@ def check_nary_transposed(
     defn = StructureDef(
         "tbp-nlie",
         (
-            ("commute", "a", "b"),
-            ("multiplicative", "a", "nbr"),
-            ("multiplicative", "b", "nbr"),
-            ("multiplicative", "a", "mul"),
-            ("multiplicative", "b", "mul"),
+            commute("a", "b"),
+            *(multiplicative(m, "nbr", n) for m in "ab"),
+            *(multiplicative(m, "mul", 2) for m in "ab"),
+            "comm",
+            *skew,
+            (f"ncompat({n})", nary_transposed_compat_identity("nbr", n)),
         ),
-        ("comm", *skew, (f"ncompat({n})", nary_transposed_compat_identity("nbr", n))),
     )
     report = check_definition(defn, bundle, mode, cases, seed)
     report.notes.append("n-ary Jacobi identity not checked (external definition)")
@@ -418,9 +376,9 @@ def check_involution(bundle: AlgebraBundle, map_name: str = "f") -> Report:
     laws = (
         (f"squares-to-identity({f})", _law(("x",), f"{f}({f}(x)) - x")),
         (f"anti-morphism({f},br)", anti_morphism_identity(f)),
-        *((f"commute({f},{m})", commute_identity(f, m)) for m in others),
+        *(commute(f, m) for m in others),
     )
-    return check_definition(StructureDef(f"involution({f})", (), laws), bundle)
+    return check_definition(StructureDef(f"involution({f})", laws), bundle)
 
 
 def check_power_suite(
@@ -441,5 +399,5 @@ def check_power_suite(
         for exps in exponent_tuples
         for which, tag in (("eq31", "power-1"), ("eq32", "power-2"))
     ]
-    defn = StructureDef("lemma31", (), (*laws, "power-fixed"))
+    defn = StructureDef("lemma31", (*laws, "power-fixed"))
     return check_definition(defn, bundle, seed=seed)

@@ -9,14 +9,13 @@ import pytest
 from bihomcheck.bundle import AlgebraBundle, Ring
 from bihomcheck.linear import BasisSpace, LinMap, MultiOp, Vector
 from bihomcheck.scalars import Scalar, parse_scalar
-from bihomcheck.structures import StructureDef
+from bihomcheck.structures import StructureDef, regular
 
 # the two forms of the product/star compatibility law, which agree on
 # regular twisted-commutative bundles, with those hypotheses as verdicts
 COMPAT_FORMS = StructureDef(
     "compat-equivalence",
-    (("regular", "a"), ("regular", "b")),
-    ("np-compat-right", "np-compat-assoc", "comm"),
+    (regular("a"), regular("b"), "np-compat-right", "np-compat-assoc", "comm"),
 )
 
 

@@ -103,7 +103,7 @@ def test_bind_resolves_names_in_first_use_order(text, first):
 def check_sampled(ident, bundle, points, identity_id="identity"):
     """One law checked at parameter points by the runner of every sampled
     check."""
-    defn = StructureDef(identity_id, (), ((identity_id, ident),))
+    defn = StructureDef(identity_id, ((identity_id, ident),))
     report = check_definition(defn, bundle, "sampled", point_cases(bundle, points))
     return verdict(report, identity_id)
 
@@ -128,7 +128,7 @@ def test_sampled_point_must_satisfy_constraints():
     cases = sample_points(bundle, 5, SplitRng(0).child("points"))
     assert len(cases) == 5
     assert all(bundle.ring.check_point(point) is None for point, _ in cases)
-    defn = StructureDef("comm", (), ("comm",))
+    defn = StructureDef("comm", ("comm",))
     assert check_definition(defn, bundle, "sampled", cases).passed
 
 
@@ -257,9 +257,9 @@ def test_compiled_walk_matches_reference_on_catalog(entry_id):
     laws = {
         identity_id: IDENTITIES[identity_id]
         for identity_id in sorted(
-            set(REGISTRY["tbp"].identities)
-            | set(REGISTRY["bp"].identities)
-            | set(SUITES["thm25"].identities)
+            c
+            for c in REGISTRY["tbp"].checks + REGISTRY["bp"].checks + SUITES["thm25"].checks
+            if isinstance(c, str)
         )
     }
     laws.update(TBP_PREDICATES)
@@ -274,7 +274,7 @@ def test_compiled_walk_matches_dense_on_dim6(dim6_transposed):
     """The tbp predicates and laws on a dim-6 Q-bundle, where ops and maps
     have more than one nonzero coordinate per value, agree with the dense
     oracle at every basis tuple."""
-    laws = {i: IDENTITIES[i] for i in REGISTRY["tbp"].identities}
+    laws = {i: IDENTITIES[i] for i in REGISTRY["tbp"].checks if isinstance(i, str)}
     for identity_id, ident in {**TBP_PREDICATES, **laws}.items():
         assert_residuals_match_dense(ident, dim6_transposed, identity_id)
 

@@ -23,6 +23,7 @@ from bihomcheck.structures import (
     check_involution,
     check_structure,
     check_suite,
+    commute,
     derivation_identity,
 )
 
@@ -38,19 +39,28 @@ from conftest import (
 from oracles import classical_transposed_poisson, rational_constants
 
 
+def check_ids(defn):
+    return [c if isinstance(c, str) else c[0] for c in defn.checks]
+
+
 def test_registry_identities_resolve():
     for name, defn in REGISTRY.items():
-        for identity_id in defn.identities:
-            assert identity_id in IDENTITIES, (name, identity_id)
+        for identity_id in defn.checks:
+            if isinstance(identity_id, str):
+                assert identity_id in IDENTITIES, (name, identity_id)
 
 
 def test_registry_composition():
     tbp = REGISTRY["tbp"]
-    assert set(tbp.identities) == {"comm", "skew", "jacobi", "tcompat"}
-    strong = REGISTRY["strong-bp"]
-    assert "leibniz" in strong.identities and "strongness" in strong.identities
+    assert set(check_ids(tbp)) == {
+        "commute(a,b)", "multiplicative(a,br)", "multiplicative(b,br)",
+        "comm", "skew", "jacobi", "tcompat",
+    }
+    strong = check_ids(REGISTRY["strong-bp"])
+    assert "leibniz" in strong and "strongness" in strong
     dnp = REGISTRY["diff-np"]
-    assert set(dnp.identities) == {
+    assert set(check_ids(dnp)) == {
+        "commute(a,b)",
         "comm", "novikov-left", "novikov-right", "np-compat-right", "prelie-comm-compat",
     }
 
@@ -187,8 +197,8 @@ def derivation_report(bundle, map_name, op_names):
     laws = tuple(
         (f"derivation({map_name},{op})", derivation_identity(map_name, op, 2)) for op in op_names
     )
-    preds = (("commute", map_name, "a"), ("commute", map_name, "b"))
-    return check_definition(StructureDef(f"derivation({map_name})", preds, laws), bundle)
+    checks = (commute(map_name, "a"), commute(map_name, "b"), *laws)
+    return check_definition(StructureDef(f"derivation({map_name})", checks), bundle)
 
 
 class TestDerivation:
