@@ -371,12 +371,15 @@ def parse_identities(text: str) -> list:
 
 def parse_identity_file(text: str) -> dict:
     """Parse a .idl file where each declaration is preceded by a comment line
-    '# id: <name>'. Returns {id: Identity} preserving order."""
-    ids = []
-    for line in text.splitlines():
+    '# id: <name>', each name used once. Returns {id: Identity} in order."""
+    ids, pos = [], 0
+    for line in text.splitlines(keepends=True):
         stripped = line.strip()
         if stripped.startswith("# id:"):
             ids.append(stripped[len("# id:") :].strip())
+            if ids[-1] in ids[:-1]:
+                raise TextSyntaxError(pos + line.index("#"), f"repeated id {ids[-1]!r}")
+        pos += len(line)
     idents = parse_identities(text)
     if len(ids) != len(idents):
         raise TextSyntaxError(

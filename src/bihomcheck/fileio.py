@@ -51,10 +51,11 @@ def bundle_from_dict(data: dict) -> AlgebraBundle:
         raise BundleFormatError(f"malformed bundle: {exc}") from None
 
 
-def _array(value, what: str) -> list:
-    """value, which must be a JSON array: a string would iterate too."""
-    if not isinstance(value, list):
-        raise BundleFormatError(f"{what} must be a JSON array")
+def _json(value, kind: type, what: str):
+    """value, which must be a JSON array (kind list) or integer (kind int): a
+    string would iterate as an array, and int() reads 0.9, "2" and true."""
+    if type(value) is not kind:
+        raise BundleFormatError(f"{what} must be a JSON {'array' if kind is list else 'integer'}")
     return value
 
 
@@ -71,8 +72,8 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
     for section in ("ring", "ops", "maps"):
         if not isinstance(data.get(section, {}), dict):
             raise BundleFormatError(f"{section!r} must be a JSON object")
-    labels = _array(data["basis"], "'basis'")
-    dim = int(data["dim"])
+    labels = _json(data["basis"], list, "'basis'")
+    dim = _json(data["dim"], int, "'dim'")
     if len(labels) != dim:
         raise BundleFormatError("dim does not match the number of basis labels")
     space = BasisSpace(labels)
@@ -81,9 +82,9 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
     unknown = set(ring_data) - _RING_FIELDS
     if unknown:
         raise BundleFormatError(f"unknown ring fields: {sorted(unknown)}")
-    params = tuple(_array(ring_data.get("params", []), "'params'"))
+    params = tuple(_json(ring_data.get("params", []), list, "'params'"))
     constraints = []
-    for text in _array(ring_data.get("constraints", []), "'constraints'"):
+    for text in _json(ring_data.get("constraints", []), list, "'constraints'"):
         scalar = parse_scalar(text, params)
         num, den = scalar.as_fraction_pair()
         if not den.is_const():
@@ -96,14 +97,13 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
         unknown = set(spec) - _OP_FIELDS
         if unknown:
             raise BundleFormatError(f"unknown op fields in {name!r}: {sorted(unknown)}")
-        arity = int(spec["arity"])
+        arity = _json(spec["arity"], int, f"op {name!r}: 'arity'")
         constants: dict = {}
-        for entry in _array(spec.get("entries", []), f"op {name!r}: 'entries'"):
-            if len(_array(entry, f"op {name!r}: entry")) != arity + 2:
+        for entry in _json(spec.get("entries", []), list, f"op {name!r}: 'entries'"):
+            if len(_json(entry, list, f"op {name!r}: entry")) != arity + 2:
                 raise BundleFormatError(f"op {name!r}: entry {entry!r} has wrong length")
-            *idx, comp, coeff = entry
-            idx = tuple(int(i) for i in idx)
-            comp = int(comp)
+            *idx, comp = (_json(i, int, f"op {name!r}: index in {entry!r}") for i in entry[:-1])
+            idx, coeff = tuple(idx), entry[-1]
             if any(i < 0 or i >= dim for i in idx) or not 0 <= comp < dim:
                 raise BundleFormatError(f"op {name!r}: index out of range in {entry!r}")
             vec = constants.setdefault(idx, [Scalar.zero(params)] * dim)
@@ -112,8 +112,8 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
 
     maps = {}
     for name, rows in data.get("maps", {}).items():
-        if len(_array(rows, f"map {name!r}")) != dim or any(
-            len(_array(r, f"map {name!r}: row")) != dim for r in rows
+        if len(_json(rows, list, f"map {name!r}")) != dim or any(
+            len(_json(r, list, f"map {name!r}: row")) != dim for r in rows
         ):
             raise BundleFormatError(f"map {name!r}: matrix must be {dim}x{dim}")
         maps[name] = LinMap(

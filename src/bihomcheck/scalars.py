@@ -24,7 +24,7 @@ All values are immutable after construction; every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm, log10
 from typing import Iterable, Mapping
 
 from .dsl import Tokenizer
@@ -445,6 +445,18 @@ def _normalize(params: tuple, num: Poly, den: Poly) -> Scalar:
 # rational literals like 3/4 are the common special case.
 
 
+# bounds on x^n in coefficient text: its numbers' digits D, and the work of
+# its last products, about T^2*D for T = C(n+t-1, t-1) terms, x of t terms
+MAX_DIGITS = 4300
+MAX_POWER_WORK = 2 * 10**7
+
+
+def _height(p: Poly) -> int:
+    """H such that no coefficient of p^n has a numerator or denominator above H^n."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return max(den, sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values()))
+
+
 class _ScalarParser:
     def __init__(self, text: str, params: tuple):
         self.toks = Tokenizer(text)
@@ -491,8 +503,16 @@ class _ScalarParser:
     def pow(self) -> Scalar:
         value = self.atom()
         if self.toks.peek()[0] == "^":
-            self.toks.next()
-            value = value ** self.toks.nat(self.toks.expect("nat"))
+            pos = self.toks.next()[2]
+            n = self.toks.nat(self.toks.expect("nat"))
+            polys = value.as_fraction_pair()
+            digits = n * max(log10(_height(p)) for p in polys)
+            if digits >= MAX_DIGITS:
+                raise TextSyntaxError(pos, f"power of more than {MAX_DIGITS} digits")
+            t = max(len(p.terms) for p in polys)
+            if comb(n + t - 1, t - 1) ** 2 * max(digits, 1) > MAX_POWER_WORK:
+                raise TextSyntaxError(pos, "power too large to expand")
+            value = value ** n
         return value
 
     def atom(self) -> Scalar:

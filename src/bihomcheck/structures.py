@@ -353,9 +353,7 @@ def check_nary_transposed(
             commute("a", "b"),
             *(multiplicative(m, "nbr", n) for m in "ab"),
             *(multiplicative(m, "mul", 2) for m in "ab"),
-            "comm",
-            *skew,
-            (f"ncompat({n})", nary_transposed_compat_identity("nbr", n)),
+            "comm", *skew, (f"ncompat({n})", nary_transposed_compat_identity("nbr", n)),
         ),
     )
     report = check_definition(defn, bundle, mode, cases, seed)

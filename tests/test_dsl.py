@@ -162,3 +162,13 @@ forall x: a(x) - b(x) = 0
     idents = parse_identity_file(text)
     assert list(idents) == ["first", "second"]
     assert idents["second"].vars == ("x",)
+
+
+def test_identity_file_repeated_id():
+    """A repeated id is refused at its second comment: keyed by id, the
+    first law would be dropped without a verdict."""
+    text = "# id: twice\nforall x: a(x) = 0\n# id: twice\nforall x: b(x) = 0\n"
+    with pytest.raises(TextSyntaxError) as info:
+        parse_identity_file(text)
+    assert info.value.position == text.index("# id: twice", 1)
+    assert "repeated id 'twice'" in str(info.value)

@@ -1,7 +1,8 @@
-"""Source hygiene of the package: every imported name is used, every public
-function, class and method is used by the program, only the DSL module
-builds identity trees (everything else states a law as .idl text), and every
-method the benchmark tracer patches still exists."""
+"""Source hygiene of the package: every imported name is used, no module
+imports another module's private name, every public function, class and
+method is used by the program, only the DSL module builds identity trees
+(everything else states a law as .idl text), and every method the benchmark
+tracer patches still exists."""
 
 from __future__ import annotations
 
@@ -52,6 +53,35 @@ def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom x import y, z\nprint(y)\n") == [
         "os (line 1)", "z (line 2)",
     ]
+
+
+def private_imports(source: str) -> list:
+    """Names starting with an underscore, but not dunders, that the source
+    imports from another module, as 'name (line n)'."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    )
+
+
+@pytest.mark.parametrize("path", package_sources(), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    """A name a module shares is public: an underscore name is the module's
+    own, and a change to it cannot break another module."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_sees_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import __version__\n"
+        "from .structures import Report, _predicate_id\n"
+        "def f():\n    from .engine import _plan as plan\n"
+    )
+    assert private_imports(source) == ["_plan (line 5)", "_predicate_id (line 3)"]
 
 
 def nodes_outside(tree, skip=None):

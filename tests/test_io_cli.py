@@ -224,6 +224,11 @@ class TestCli:
                 "deep-idl", "forall x: " + "a(" * 3000 + "x" + ")" * 3000 + " = 0\n", id="deep-idl"
             ),
             pytest.param("long-integer", '{"schema": 1, "dim": ' + "1" * 5000 + "}", id="long-integer"),
+            ("dim-a-string", malformed(dim="2")),
+            ("arity-a-float", malformed(ops={"mul": {"arity": 2.0, "entries": []}})),
+            ("index-a-fraction", malformed(ops={"mul": {"arity": 2, "entries": [[0.9, 0, 0, "1"]]}})),
+            ("index-a-bool", malformed(ops={"mul": {"arity": 2, "entries": [[True, 0, 0, "1"]]}})),
+            ("component-a-string", malformed(ops={"mul": {"arity": 2, "entries": [[0, 0, "1", "1"]]}})),
         ],
     )
     def test_malformed_bundle_fields_exit_two(self, case, data, tmp_path, capsys):
@@ -274,12 +279,13 @@ class TestCli:
         ],
     )
     def test_number_too_long_to_print_exit_two(self, a, report, code, tmp_path, capsys):
-        """3^10000 is short text but a 4772-digit value. Where it must be
+        """3^5000*3^5000 is short text but a 4772-digit value (3^10000 is
+        refused as text, by the digit bound on a power). Where it must be
         printed, in the commute(a,b) residual of a non-commuting a or in the
         bundle hash of a report, the check ends in a one-line error."""
         data = malformed(
             ops={"mul": {"arity": 2, "entries": []}, "br": {"arity": 2, "entries": []}},
-            maps={"a": a, "b": [["3^10000", "0"], ["0", "1"]]},
+            maps={"a": a, "b": [["3^5000*3^5000", "0"], ["0", "1"]]},
             provenance={"name": "big"},
         )
         path = tmp_path / "big.bundle"
@@ -598,6 +604,17 @@ class TestCli:
         idl.write_text("forall x: mul(x, x) = 0\n")
         assert cli_main(["dsl", "check", str(idl), entry26_file]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_dsl_check_repeated_id_exit_two(self, entry26_file, tmp_path, capsys):
+        """Two laws under one id: the first fails on entry 26, so dropping it
+        would print a lone PASS and exit 0."""
+        idl = tmp_path / "twice.idl"
+        idl.write_text(
+            "# id: comm-check\nforall x,y: mul(x, y) = 0\n"
+            "# id: comm-check\nforall x,y: mul(x, y) - mul(y, x) = 0\n"
+        )
+        assert cli_main(["dsl", "check", str(idl), entry26_file]) == 2
+        assert capsys.readouterr().err == "error: at position 43: repeated id 'comm-check'\n"
 
     def test_dsl_check_missing_map(self, entry26_file, tmp_path, capsys):
         """A law naming a map the bundle lacks is the bundle's MissingMap

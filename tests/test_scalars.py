@@ -83,6 +83,18 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         assert len(calls) == n.bit_length() - 1 + bin(n).count("1"), n
 
 
+def test_power_bounds():
+    """A power is refused before it is expanded, not after seconds of work:
+    (k1+k2+k3+k4+1)^14 took 0.9 s and (k1+1)^1999 12 s without the bound."""
+    params = ("k1", "k2", "k3", "k4")
+    assert len(parse_scalar("(k1+k2+k3+k4+1)^10", params).num.terms) == 1001
+    assert parse_scalar("k1^58", params).num.terms == {(58, 0, 0, 0): 1}
+    assert parse_scalar("10^4299", params).rat == 10**4299
+    for text in ("(k1+k2+k3+k4+1)^14", "(k1+1)^1999", "(10^100*k1 + 1)^43", "((2^4000)^2)^2"):
+        with pytest.raises(TextSyntaxError):
+            parse_scalar(text, params)
+
+
 class TestParsing:
     def test_poly_terms(self):
         s = S("2*k1^2 - k2/3")
@@ -126,6 +138,9 @@ MALFORMED = [
     ("1/0", 1),
     ("k1 k2", 3),
     ("2 $ 3", 2),
+    # a power whose numbers could pass 4300 digits, or too large to expand
+    ("10^4300", 2),
+    ("(k1 + k2 + 1)^100", 13),
 ]
 
 
