@@ -508,7 +508,7 @@ class _ScalarParser:
             polys = value.as_fraction_pair()
             digits = n * max(log10(_height(p)) for p in polys)
             if digits >= MAX_DIGITS:
-                raise TextSyntaxError(pos, f"power of more than {MAX_DIGITS} digits")
+                raise TextSyntaxError(pos, f"power may have more than {MAX_DIGITS} digits")
             t = max(len(p.terms) for p in polys)
             if comb(n + t - 1, t - 1) ** 2 * max(digits, 1) > MAX_POWER_WORK:
                 raise TextSyntaxError(pos, "power too large to expand")

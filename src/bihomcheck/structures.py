@@ -153,10 +153,12 @@ class StructureDef:
 
 
 def commute(m1: str, m2: str) -> tuple:
+    """The check that the maps m1 and m2 commute."""
     return f"commute({m1},{m2})", commute_identity(m1, m2)
 
 
 def multiplicative(m: str, op: str, arity: int) -> tuple:
+    """The check that the map m is multiplicative for the arity-r op."""
     return f"multiplicative({m},{op})", multiplicativity_identity(m, op, arity)
 
 

@@ -229,7 +229,7 @@ def rational_point(entry):
     raise AssertionError(f"no rational point for entry {entry.entry_id}")
 
 
-# the predicates of tbp as laws: map chains a(b(x)) and maps over op values
+# the structure-map laws of tbp: map chains a(b(x)) and maps over op values
 TBP_PREDICATES = {
     "commute(a,b)": commute_identity("a", "b"),
     "multiplicative(a,br)": multiplicativity_identity("a", "br", 2),
@@ -271,7 +271,7 @@ def test_compiled_walk_matches_reference_on_catalog(entry_id):
 
 
 def test_compiled_walk_matches_dense_on_dim6(dim6_transposed):
-    """The tbp predicates and laws on a dim-6 Q-bundle, where ops and maps
+    """The tbp laws on a dim-6 Q-bundle, where ops and maps
     have more than one nonzero coordinate per value, agree with the dense
     oracle at every basis tuple."""
     laws = {i: IDENTITIES[i] for i in REGISTRY["tbp"].checks if isinstance(i, str)}

@@ -5,7 +5,7 @@ written bytes and of the printed output with pinned values. The report pins
 were recorded before the verdict pipeline was consolidated; any change to a
 verdict, a counterexample, a reason text, a note or the key order of a report
 shows up here. The report sorts verdicts by id, so only the output pin fixes
-the order in which a definition runs its predicates and laws.
+the order in which a definition runs its checks.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ def test_missing_requirements(zero_bundle, entry26):
 @pytest.mark.parametrize("name", ["tbp", "3-bihom-lie"])
 def test_missing_name_follows_first_use(name):
     """The name reported missing is the first one the definition uses: the
-    first predicate, commute(a,b), meets the missing map b before any law
+    first check, commute(a,b), meets the missing map b before any law
     meets the missing bracket."""
     bundle = make_bundle(["e"], (), {"mul": (2, {})}, {"a": [["1"]]})
     with pytest.raises(MissingMap) as excinfo:
