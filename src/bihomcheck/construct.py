@@ -3,7 +3,10 @@
 Every construction validates its hypotheses first (strict by default; pass
 require=False to downgrade refusals to recorded warnings; tensor_bundle only
 records warnings), never mutates its input, and stamps the output's
-provenance with the construction name and the inputs used.
+provenance with the construction name and the inputs used. Hypotheses are
+(what, law) checks, or a registered structure, run by
+structures.check_definition; all are decided before a failing what is
+refused, so a name the bundle lacks is reported before any refusal.
 
 A construction is its hypothesis checks plus one .idl term per new op, such
 as br(x, y) = mul(a(x), D(b(y))) - mul(b(y), D(a(x))), which
@@ -30,13 +33,17 @@ import itertools
 from dataclasses import dataclass
 
 from .bundle import AlgebraBundle, Ring
-from .dsl import Identity, parse_identity
-from .engine import check_identity, define_op
+from .dsl import parse_identity
+from .engine import define_op
 from .errors import ArityMismatch, PredicateFailed, RingMismatch
 from .linear import BasisSpace, LinMap, MultiOp, tensor_map, tensor_space
 from .scalars import Scalar
 from .structures import (
+    StructureDef,
+    check_definition,
+    check_involution,
     check_structure,
+    check_suite,
     commute_identity,
     derivation_identity,
     multiplicativity_identity,
@@ -67,23 +74,27 @@ class _Hypotheses:
             raise PredicateFailed(f"{self.construction}: {what}")
         self.warnings.append(what)
 
-    def check_identity(self, ident: Identity, bundle: AlgebraBundle, what: str):
-        self.demand(check_identity(ident, bundle, what).passed, what)
+    def check(self, bundle: AlgebraBundle, laws):
+        """Run the (what, law) checks in order and demand each verdict; a
+        refusal is the what of a failing law."""
+        report = check_definition(StructureDef(self.construction, tuple(laws)), bundle)
+        for verdict in report.verdicts:
+            self.demand(verdict.passed, verdict.identity)
 
     def check_report(self, report, what: str):
         """Demand that a report passes; a refusal names its failing verdicts."""
         failing = ", ".join(v.identity for v in report.verdicts if v.status != "pass")
         self.demand(report.passed, what + failing)
 
-    def check_commute(self, bundle: AlgebraBundle, m1: str, m2: str):
-        what = f"maps {m1!r} and {m2!r} do not commute"
-        self.check_identity(commute_identity(m1, m2), bundle, what)
-
     def provenance(self, **fields) -> dict:
         prov = {"construction": self.construction, **fields}
         if self.warnings:
             prov["warnings"] = list(self.warnings)
         return prov
+
+
+def _commute(m1: str, m2: str) -> tuple:
+    return f"maps {m1!r} and {m2!r} do not commute", commute_identity(m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +115,12 @@ def yau_twist(bundle: AlgebraBundle, specs, require: bool = True) -> AlgebraBund
             raise ArityMismatch(f"need {op.arity} maps, got {len(spec.slots)}")
     hyp = _Hypotheses("yau-twist", require)
     used = dict.fromkeys(name for spec in specs for name, _power in spec.slots)
-    for m1, m2 in itertools.combinations(used, 2):
-        hyp.check_commute(bundle, m1, m2)
+    laws = list(itertools.starmap(_commute, itertools.combinations(used, 2)))
     for spec in specs:
         for name, _power in spec.slots:
-            hyp.check_identity(
-                multiplicativity_identity(name, spec.op_name, len(spec.slots)),
-                bundle,
-                f"map {name!r} is not multiplicative for op {spec.op_name!r}",
-            )
+            what = f"map {name!r} is not multiplicative for op {spec.op_name!r}"
+            laws.append((what, multiplicativity_identity(name, spec.op_name, len(spec.slots))))
+    hyp.check(bundle, laws)
     ops = dict(bundle.ops)
     for spec in specs:
         names = [f"x{i}" for i in range(len(spec.slots))]
@@ -131,12 +139,11 @@ def yau_twist(bundle: AlgebraBundle, specs, require: bool = True) -> AlgebraBund
 # ---------------------------------------------------------------------------
 
 
-TWISTED_MUL = "forall x,y: mul(a(x), b(y)) = 0"
-
-
-def _derivation_data(hyp, bundle, d_name, a_name, b_name) -> AlgebraBundle:
-    """The product and the three maps, named mul, a, b and D as the terms of
-    the derivation constructions use them, once the hypotheses are checked."""
+def _from_derivation(construction, second, term, bundle, d_name, a_name, b_name, require):
+    """The twisted product mul(a(x), b(y)) and the op second = term, over the
+    product and the three maps named mul, a, b and D, once the hypotheses
+    are checked."""
+    hyp = _Hypotheses(construction, require)
     work = bundle.replace(
         ops={"mul": bundle.require_op("mul", 2)},
         maps={
@@ -147,22 +154,23 @@ def _derivation_data(hyp, bundle, d_name, a_name, b_name) -> AlgebraBundle:
     )
     comm = parse_identity("forall x,y: mul(x, y) - mul(y, x) = 0")
     assoc = parse_identity("forall x,y,z: mul(mul(x, y), z) - mul(x, mul(y, z)) = 0")
-    hyp.check_identity(comm, bundle, "product is not commutative")
-    hyp.check_identity(assoc, bundle, "product is not associative")
+    laws = [("product is not commutative", comm), ("product is not associative", assoc)]
     for name in (a_name, b_name):
-        hyp.check_identity(
-            multiplicativity_identity(name, "mul", 2),
-            bundle,
-            f"map {name!r} is not an algebra map for the product",
-        )
-    hyp.check_identity(
-        derivation_identity(d_name, "mul", 2),
-        bundle,
-        f"map {d_name!r} is not a derivation of the product",
-    )
-    for m1, m2 in itertools.combinations(dict.fromkeys((a_name, b_name, d_name)), 2):
-        hyp.check_commute(bundle, m1, m2)
-    return work
+        what = f"map {name!r} is not an algebra map for the product"
+        laws.append((what, multiplicativity_identity(name, "mul", 2)))
+    what = f"map {d_name!r} is not a derivation of the product"
+    laws.append((what, derivation_identity(d_name, "mul", 2)))
+    maps = dict.fromkeys((a_name, b_name, d_name))
+    laws += itertools.starmap(_commute, itertools.combinations(maps, 2))
+    hyp.check(bundle, laws)
+    ops = {
+        **bundle.ops,
+        "mul": define_op(work, "forall x,y: mul(a(x), b(y)) = 0"),
+        second: define_op(work, f"forall x,y: {term} = 0"),
+    }
+    maps = {**bundle.maps, "a": work.maps["a"], "b": work.maps["b"]}
+    prov = hyp.provenance(input=bundle.label(), derivation=d_name, maps=[a_name, b_name])
+    return bundle.replace(ops=ops, maps=maps, provenance=prov)
 
 
 def derivation_tbp(
@@ -175,16 +183,8 @@ def derivation_tbp(
     """From a commutative associative product with a derivation: the twisted
     product x.y = mul0(a(x), b(y)) and the Wronskian-style bracket
     br(x, y) = mul0(a(x), D(b(y))) - mul0(b(y), D(a(x)))."""
-    hyp = _Hypotheses("derivation-tbp", require)
-    work = _derivation_data(hyp, bundle, d_name, a_name, b_name)
-    ops = {
-        **bundle.ops,
-        "mul": define_op(work, TWISTED_MUL),
-        "br": define_op(work, "forall x,y: mul(a(x), D(b(y))) - mul(b(y), D(a(x))) = 0"),
-    }
-    maps = {**bundle.maps, "a": work.maps["a"], "b": work.maps["b"]}
-    prov = hyp.provenance(input=bundle.label(), derivation=d_name, maps=[a_name, b_name])
-    return bundle.replace(ops=ops, maps=maps, provenance=prov)
+    term = "mul(a(x), D(b(y))) - mul(b(y), D(a(x)))"
+    return _from_derivation("derivation-tbp", "br", term, bundle, d_name, a_name, b_name, require)
 
 
 def pre_lie_from_derivation(
@@ -196,16 +196,8 @@ def pre_lie_from_derivation(
 ) -> AlgebraBundle:
     """Same data as derivation_tbp but producing the one-sided product
     star(x, y) = mul0(a(x), D(b(y)))."""
-    hyp = _Hypotheses("pre-lie", require)
-    work = _derivation_data(hyp, bundle, d_name, a_name, b_name)
-    ops = {
-        **bundle.ops,
-        "mul": define_op(work, TWISTED_MUL),
-        "star": define_op(work, "forall x,y: mul(a(x), D(b(y))) = 0"),
-    }
-    maps = {**bundle.maps, "a": work.maps["a"], "b": work.maps["b"]}
-    prov = hyp.provenance(input=bundle.label(), derivation=d_name, maps=[a_name, b_name])
-    return bundle.replace(ops=ops, maps=maps, provenance=prov)
+    term = "mul(a(x), D(b(y)))"
+    return _from_derivation("pre-lie", "star", term, bundle, d_name, a_name, b_name, require)
 
 
 def np_commutator(bundle: AlgebraBundle, require: bool = True) -> AlgebraBundle:
@@ -318,14 +310,11 @@ def ternary_from_derivation(
     hyp = _Hypotheses("ternary-derivation", require)
     A, B = bundle.require_map("a"), bundle.require_map("b")
     D = bundle.require_map(d_name)
-    for opname in ("mul", "br"):
-        hyp.check_identity(
-            derivation_identity(d_name, opname, 2),
-            bundle,
-            f"map {d_name!r} is not a derivation of {opname!r}",
-        )
-    hyp.check_commute(bundle, d_name, "a")
-    hyp.check_commute(bundle, d_name, "b")
+    laws = [
+        (f"map {d_name!r} is not a derivation of {op!r}", derivation_identity(d_name, op, 2))
+        for op in ("mul", "br")
+    ]
+    hyp.check(bundle, [*laws, _commute(d_name, "a"), _commute(d_name, "b")])
     ops = {**bundle.ops, "tbr": _ternary(bundle, D, D.compose(A.power(-1)).compose(B))}
     prov = hyp.provenance(input=bundle.label(), derivation=d_name)
     return bundle.replace(ops=ops, provenance=prov)
@@ -337,18 +326,14 @@ def ternary_from_involution(
     """Ternary bracket built from an involutive bracket anti-morphism. The
     transposed ternary compatibility is not implied here: the exact condition
     is checked and recorded in provenance, never assumed."""
-    from .structures import IDENTITIES, check_involution
-
     hyp = _Hypotheses("ternary-involution", require)
     A, B = bundle.require_map("a"), bundle.require_map("b")
     F = bundle.require_map(f_name)
     hyp.check_report(check_involution(bundle, f_name), "involution hypotheses fail: ")
     ops = {**bundle.ops, "tbr": _ternary(bundle, F, F.compose(A.power(-1)).compose(B))}
     compat_bundle = bundle.replace(ops=ops, maps={**bundle.maps, "f": F})
-    compat = check_identity(IDENTITIES["invol-compat"], compat_bundle, "invol-compat")
-    prov = hyp.provenance(
-        input=bundle.label(), involution=f_name, invol_compat=compat.status
-    )
+    compat = check_suite("eq3.18", compat_bundle).overall
+    prov = hyp.provenance(input=bundle.label(), involution=f_name, invol_compat=compat)
     return bundle.replace(ops=ops, provenance=prov)
 
 

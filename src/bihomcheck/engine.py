@@ -2,18 +2,19 @@
 
 check_identity is the package's one decision procedure: every law, read from
 a .idl file or written as text from names and exponents (structures, the
-templates below), is parsed by dsl.parse_identity and decided here. The
-templates take their eight exponents (m, n, l, s, p, q, k, t) as a plain
-tuple, which is also how report ids print them.
+templates below), is parsed by dsl.parse_identity and decided here, and it
+is reached only through structures.check_definition, construction
+hypotheses included. The templates take their eight exponents (m, n, l, s,
+p, q, k, t) as a plain tuple, which is also how report ids print them.
 
 The linearity invariant of the DSL (each declared variable exactly once per
 monomial) makes an identity multilinear in its variables, so it vanishes on
 every vector assignment iff it vanishes on every assignment of basis vectors.
-check_identity therefore walks all dim^|vars| basis tuples in lexicographic
-order and reports the first failure, which is canonical regardless of any
-internal evaluation strategy. Negative map powers are resolved when an
-identity is bound to a bundle; a singular map makes the verdict inapplicable
-rather than pass/fail.
+BoundIdentity.nonzero is the one walk over all dim^|vars| basis tuples, in
+lexicographic order, and check_identity reports the first tuple it yields,
+which is canonical regardless of any internal evaluation strategy. Negative
+map powers are resolved when an identity is bound to a bundle; a singular
+map makes the verdict inapplicable rather than pass/fail.
 
 An identity is compiled once, independent of any bundle, into a plan
 (_plan, cached on the frozen Identity): the cyc-expanded monomials are
@@ -46,10 +47,10 @@ polynomial fractions are never gcd-reduced, so another order could print
 another numerator/denominator pair for the same value (reduced rationals
 print the same in any order).
 
-define_op is the second user of the bound evaluators. It reads the left side
-of a `forall x,y,...: TERM = 0` text as a new op: at every basis tuple it
-sums the term once with BoundIdentity.residual, the summation of a
-counterexample's residual, and keeps the nonzero values as the op's
+define_op is the second user of the walk. It reads the left side of a
+`forall x,y,...: TERM = 0` text as a new op: at every basis tuple the walk
+yields it sums the term once with BoundIdentity.residual, the summation of a
+counterexample's residual, and keeps the value as one of the op's
 constants. Every op that construct builds from one bundle comes from here.
 """
 
@@ -175,6 +176,7 @@ class BoundIdentity:
             else:
                 resolved[key] = bundle.require_op(name, n)
         self.space, self.params = bundle.space, bundle.ring.params
+        self.arity = len(ident.vars)
         one = Scalar.one(self.params) if self.params else 1
         units = [{j: one} for j in range(self.space.dim)]
         # columns[s][j] is the value of step s at basis vector j when step s
@@ -215,17 +217,21 @@ class BoundIdentity:
             (coeff * (scale // self.denominators[s]), self.evaluators[s]) for coeff, s in terms
         ]
 
-    def value(self, s: int, tup: tuple) -> Vector:
-        """The value of step s at a basis tuple."""
-        values = self.evaluators[s](tup)
-        return Vector.from_values(self.space, self.params, values, self.denominators[s])
+    def nonzero(self):
+        """The basis tuples, in lexicographic order, at which the identity's
+        left side is not zero: the one walk over all dim^|vars| of them."""
+        for tup in itertools.product(range(self.space.dim), repeat=self.arity):
+            if not _residual_is_zero(self.terms, tup):
+                yield tup
 
     def residual(self, tup: tuple) -> Vector:
         """The identity's left side at a basis tuple, summed from the step
         values monomial by monomial in expand_identity order."""
         out = Vector.zero(self.space, self.params)
         for coeff, s in self.monomials:
-            out = out + self.value(s, tup).scale(coeff)
+            values = self.evaluators[s](tup)
+            value = Vector.from_values(self.space, self.params, values, self.denominators[s])
+            out = out + value.scale(coeff)
         return out
 
 
@@ -249,26 +255,20 @@ def check_identity(
         bound = BoundIdentity(ident, bundle)
     except NotInvertible as exc:
         return Verdict(identity_id, "inapplicable", f"non-invertible map: {exc}")
-    for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
-        if _residual_is_zero(bound.terms, tup):
-            continue
-        residual = tuple(c.text() for c in bound.residual(tup).coords)
-        return Verdict(identity_id, "fail", counterexample=Counterexample(tup, residual))
-    return Verdict(identity_id, "pass")
+    tup = next(bound.nonzero(), None)
+    if tup is None:
+        return Verdict(identity_id, "pass")
+    residual = tuple(c.text() for c in bound.residual(tup).coords)
+    return Verdict(identity_id, "fail", counterexample=Counterexample(tup, residual))
 
 
 def define_op(bundle: AlgebraBundle, text: str) -> MultiOp:
     """The op whose value at a basis tuple is the value of the term in the
     `forall x,y,...: TERM = 0` text, with one argument per variable; each
-    tuple's value is summed once, as a residual is."""
-    ident = parse_identity(text)
-    bound = BoundIdentity(ident, bundle)
-    constants = {}
-    for tup in itertools.product(range(bundle.space.dim), repeat=len(ident.vars)):
-        value = bound.residual(tup)
-        if not value.is_zero():
-            constants[tup] = value.coords
-    return MultiOp(bundle.space, bundle.ring.params, len(ident.vars), constants)
+    nonzero tuple's value is summed once, as a residual is."""
+    bound = BoundIdentity(parse_identity(text), bundle)
+    constants = {tup: bound.residual(tup).coords for tup in bound.nonzero()}
+    return MultiOp(bundle.space, bundle.ring.params, bound.arity, constants)
 
 
 def merge(cases: Sequence[tuple]) -> list:

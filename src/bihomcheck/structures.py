@@ -11,11 +11,11 @@ MissingOp. REGISTRY holds the structures of `check --structure`, SUITES the
 sets of `identities --set`, catalog.CATALOG_AXES the catalog report's
 columns. check_definition is the one runner and the one place a Report is
 built: it runs any of them, or any other set of laws given as a
-StructureDef (the laws of a `dsl check` file), over the bundle's ring or on
-(label, bundle) cases (constraint branches, or catalog.sample_points'
-specialised bundles) whose verdicts engine.merge combines. The library's
-plain overlap forms (REGULAR_ONLY, named by id) are inapplicable on
-singular maps.
+StructureDef (the laws of a `dsl check` file, a construction's hypotheses),
+over the bundle's ring or on (label, bundle) cases (constraint branches, or
+catalog.sample_points' specialised bundles) whose verdicts engine.merge
+combines. The library's plain overlap forms (REGULAR_ONLY, named by id) are
+inapplicable on singular maps.
 
 Every law is .idl text decided by engine.check_identity: fixed laws sit in
 data/structures/*.idl and data/suites/*.idl under `# id:` comments, laws over

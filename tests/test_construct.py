@@ -20,7 +20,7 @@ from bihomcheck.construct import (
     truncated_polynomial_algebra,
     yau_twist,
 )
-from bihomcheck.errors import NotInvertible, PredicateFailed, RingMismatch
+from bihomcheck.errors import MissingOp, NotInvertible, PredicateFailed, RingMismatch
 from bihomcheck.linear import LinMap, MultiOp, Vector
 from bihomcheck.scalars import Scalar
 from bihomcheck.structures import check_structure
@@ -308,6 +308,18 @@ class TestTernaryFromDerivation:
         assert not op_is_zero(t3.ops["tbr"])
         assert check_structure("3-bihom-lie", t3).passed
         assert check_structure("tbp-3lie", t3).passed
+
+    def test_missing_op_beats_earlier_failed_hypothesis(self):
+        """All hypotheses are decided before any is demanded, so a strict
+        refusal never hides a missing op: D is no derivation of the
+        truncated product, and the bundle has no br."""
+        qt3 = truncated_polynomial_algebra(("t",), 3)
+        errors = []
+        for require in (True, False):
+            with pytest.raises(MissingOp) as info:
+                ternary_from_derivation(qt3, require=require)
+            errors.append(str(info.value))
+        assert errors == ["bundle has no operation 'br'"] * 2
 
 
 class TestTernaryFromInvolution:

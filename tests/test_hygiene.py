@@ -1,8 +1,8 @@
 """Source hygiene of the package: every imported name is used, no module
 imports another module's private name, every public function, class and
 method is used by the program, only the DSL module builds identity trees
-(everything else states a law as .idl text), and every method the benchmark
-tracer patches still exists."""
+(everything else states a law as .idl text), only structures decides laws,
+and every method the benchmark tracer patches still exists."""
 
 from __future__ import annotations
 
@@ -245,6 +245,39 @@ def test_laws_are_written_as_text(path):
 def test_scan_sees_a_tree_construction():
     source = "x = OpApply('mul', (Var('x'), Var('y')))\nok = isinstance(x, OpApply)\n"
     assert ast_constructions(source) == ["OpApply (line 1)", "Var (line 1)", "Var (line 1)"]
+
+
+def check_identity_calls(source: str) -> list:
+    """Calls of check_identity, by name or as an attribute, as 'line n'."""
+    return sorted(
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "check_identity"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "check_identity"
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in package_sources() if p.name != "structures.py"], ids=lambda p: p.name
+)
+def test_laws_are_decided_by_check_definition(path):
+    """structures.check_definition is the one runner of laws, construction
+    hypotheses included, so no other module calls check_identity."""
+    assert check_identity_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_sees_a_check_identity_call():
+    source = (
+        "from .engine import check_identity\n"
+        "v = check_identity(law, bundle, 'x')\n"
+        "w = engine.check_identity(law, bundle)\n"
+        "hyp.check_identity(law, bundle, 'y')\n"
+        "ok = callable(check_identity)\n"
+    )
+    assert check_identity_calls(source) == ["line 2", "line 3", "line 4"]
 
 
 def tracer_methods():
