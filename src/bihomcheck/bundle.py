@@ -17,13 +17,24 @@ import hashlib
 import json
 from fractions import Fraction
 from operator import methodcaller
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ArityMismatch, MissingMap, MissingOp, RingMismatch, SpaceMismatch
 from .linear import BasisSpace, LinMap, MultiOp
 from .scalars import Poly, Scalar
 
 CONVENTIONAL_ARITIES = {"mul": 2, "br": 2, "star": 2, "tbr": 3}
+
+
+def op_entries(constants: Mapping[tuple, Sequence[Scalar]]) -> list:
+    """The [i1, .., ir, k, coeff] entries of an op's nonzero constants, in
+    sorted basis-tuple order (the bundle file format; see fileio)."""
+    return [
+        [*idx, k, c.text()]
+        for idx in sorted(constants)
+        for k, c in enumerate(constants[idx])
+        if not c.is_zero()
+    ]
 
 
 class Ring:
@@ -145,16 +156,10 @@ class AlgebraBundle:
     # -- canonical form ---------------------------------------------------------
 
     def canonical_dict(self) -> dict:
-        ops = {}
-        for name in sorted(self.ops):
-            op = self.ops[name]
-            entries = []
-            for idx in sorted(op.constants):
-                vec = op.constants[idx]
-                for k, c in enumerate(vec):
-                    if not c.is_zero():
-                        entries.append(list(idx) + [k, c.text()])
-            ops[name] = {"arity": op.arity, "entries": entries}
+        ops = {
+            name: {"arity": op.arity, "entries": op_entries(op.constants)}
+            for name, op in sorted(self.ops.items())
+        }
         maps = {
             name: [[c.text() for c in row] for row in self.maps[name].rows]
             for name in sorted(self.maps)

@@ -35,8 +35,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .bundle import AlgebraBundle
+from .bundle import AlgebraBundle, op_entries
 from .errors import BihomError, Inconsistent, NoSamplePoints, UnknownEntry
+from .fileio import bundle_from_dict, op_constants
 from .linear import LinMap, MultiOp, gauss_jordan
 from .rng import SplitRng
 from .scalars import Scalar, parse_scalar
@@ -99,14 +100,7 @@ class CatalogEntry:
         data = self.bundle.canonical_dict()
         completion = None
         if self.completion is not None:
-            completion = {
-                "entries": [
-                    [*slot, comp, c.text()]
-                    for slot in sorted(self.completion)
-                    for comp, c in enumerate(self.completion[slot])
-                    if not c.is_zero()
-                ]
-            }
+            completion = {"entries": op_entries(self.completion)}
         data["catalog"] = {
             "id": self.entry_id,
             "case": self.case,
@@ -182,22 +176,13 @@ def solve_skew_completion(
 
 
 def _entry_from_dict(data: dict) -> CatalogEntry:
-    from .fileio import bundle_from_dict
-
     bundle = bundle_from_dict(data)
     cat = data["catalog"]
-    params = bundle.ring.params
     completion = None
     if cat.get("completion") is not None:
-        completion = {}
-        for entry in cat["completion"]["entries"]:
-            *idx, comp, text = entry
-            slot = tuple(idx)
-            coords = completion.setdefault(
-                slot, [Scalar.zero(params)] * bundle.space.dim
-            )
-            coords[comp] = parse_scalar(text, params)
-        completion = {slot: tuple(coords) for slot, coords in completion.items()}
+        completion = op_constants(
+            "br", cat["completion"]["entries"], 2, bundle.space.dim, bundle.ring.params
+        )
     return CatalogEntry(
         entry_id=cat["id"],
         case=cat["case"],

@@ -29,6 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .bundle import AlgebraBundle, Ring
+from .dsl import parse_identities, parse_identity_file
 from .errors import BihomError, BundleFormatError, UnknownParameter
 from .linear import BasisSpace, LinMap, MultiOp
 from .scalars import Scalar, parse_scalar
@@ -57,6 +58,22 @@ def _json(value, kind: type, what: str):
     if type(value) is not kind:
         raise BundleFormatError(f"{what} must be a JSON {'array' if kind is list else 'integer'}")
     return value
+
+
+def op_constants(name: str, entries, arity: int, dim: int, params: tuple) -> dict:
+    """The constants {basis tuple: coordinates} of the arity-r op name read
+    from its [i1, .., ir, k, coeff] entries; repeated entries add up."""
+    constants: dict = {}
+    for entry in _json(entries, list, f"op {name!r}: 'entries'"):
+        if len(_json(entry, list, f"op {name!r}: entry")) != arity + 2:
+            raise BundleFormatError(f"op {name!r}: entry {entry!r} has wrong length")
+        *idx, comp = (_json(i, int, f"op {name!r}: index in {entry!r}") for i in entry[:-1])
+        idx, coeff = tuple(idx), entry[-1]
+        if any(i < 0 or i >= dim for i in idx) or not 0 <= comp < dim:
+            raise BundleFormatError(f"op {name!r}: index out of range in {entry!r}")
+        vec = constants.setdefault(idx, [Scalar.zero(params)] * dim)
+        vec[comp] = vec[comp] + parse_scalar(str(coeff), params)
+    return {k: tuple(v) for k, v in constants.items()}
 
 
 def _bundle_from_dict(data: dict) -> AlgebraBundle:
@@ -98,17 +115,8 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
         if unknown:
             raise BundleFormatError(f"unknown op fields in {name!r}: {sorted(unknown)}")
         arity = _json(spec["arity"], int, f"op {name!r}: 'arity'")
-        constants: dict = {}
-        for entry in _json(spec.get("entries", []), list, f"op {name!r}: 'entries'"):
-            if len(_json(entry, list, f"op {name!r}: entry")) != arity + 2:
-                raise BundleFormatError(f"op {name!r}: entry {entry!r} has wrong length")
-            *idx, comp = (_json(i, int, f"op {name!r}: index in {entry!r}") for i in entry[:-1])
-            idx, coeff = tuple(idx), entry[-1]
-            if any(i < 0 or i >= dim for i in idx) or not 0 <= comp < dim:
-                raise BundleFormatError(f"op {name!r}: index out of range in {entry!r}")
-            vec = constants.setdefault(idx, [Scalar.zero(params)] * dim)
-            vec[comp] = vec[comp] + parse_scalar(str(coeff), params)
-        ops[name] = MultiOp(space, params, arity, {k: tuple(v) for k, v in constants.items()})
+        constants = op_constants(name, spec.get("entries", []), arity, dim, params)
+        ops[name] = MultiOp(space, params, arity, constants)
 
     maps = {}
     for name, rows in data.get("maps", {}).items():
@@ -169,8 +177,6 @@ def save_report(report, path, bundle_hash: str | None = None) -> None:
 def load_identity_file(path) -> dict:
     """Identities of a .idl file keyed by their `# id:` names; files without
     id comments get positional names decl0, decl1, ..."""
-    from .dsl import parse_identities, parse_identity_file
-
     text = _read_text(path)
     if "# id:" in text:
         return parse_identity_file(text)
