@@ -82,10 +82,9 @@ def _bundle_from_dict(data: dict) -> AlgebraBundle:
     unknown = set(data) - _TOP_FIELDS
     if unknown:
         raise BundleFormatError(f"unknown fields: {sorted(unknown)}")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise BundleFormatError(
-            f"unsupported schema {data.get('schema')!r} (supported: {SCHEMA_VERSION})"
-        )
+    schema = data.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 equal 1
+        raise BundleFormatError(f"unsupported schema {schema!r} (supported: {SCHEMA_VERSION})")
     for section in ("ring", "ops", "maps"):
         if not isinstance(data.get(section, {}), dict):
             raise BundleFormatError(f"{section!r} must be a JSON object")

@@ -23,6 +23,7 @@ All values are immutable after construction; every operation is pure.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb, gcd, lcm, log10
 from typing import Iterable, Mapping
@@ -449,6 +450,24 @@ def _normalize(params: tuple, num: Poly, den: Poly) -> Scalar:
 # its last products, about T^2*D for T = C(n+t-1, t-1) terms, x of t terms
 MAX_DIGITS = 4300
 MAX_POWER_WORK = 2 * 10**7
+# bound on the terms of the Poly products one + - * / in coefficient text
+# forms: 40,000 of them take about 0.4 s (two 200-term polynomials)
+MAX_PRODUCT_TERMS = 40_000
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _combine(kind: str, pos: int, x: Scalar, y: Scalar) -> Scalar:
+    """x + y, x - y, x * y or x / y, refused before it is formed when its
+    Poly products (num and den of x times those of y) pass MAX_PRODUCT_TERMS
+    terms in all."""
+    a, b = (len(p.terms) for p in x.as_fraction_pair())
+    c, d = (len(p.terms) for p in y.as_fraction_pair())
+    work = {"*": a * c + b * d, "/": a * d + b * c}.get(kind, a * d + c * b + b * d)
+    if work > MAX_PRODUCT_TERMS:
+        raise TextSyntaxError(pos, "operands too large to combine")
+    if kind == "/" and y.is_zero():
+        raise TextSyntaxError(pos, "division by zero")
+    return _OPERATORS[kind](x, y)
 
 
 def _height(p: Poly) -> int:
@@ -473,32 +492,17 @@ class _ScalarParser:
 
     def sum(self) -> Scalar:
         value = self.prod()
-        while True:
-            kind = self.toks.peek()[0]
-            if kind == "+":
-                self.toks.next()
-                value = value + self.prod()
-            elif kind == "-":
-                self.toks.next()
-                value = value - self.prod()
-            else:
-                return value
+        while self.toks.peek()[0] in ("+", "-"):
+            kind, _, pos = self.toks.next()
+            value = _combine(kind, pos, value, self.prod())
+        return value
 
     def prod(self) -> Scalar:
         value = self.pow()
-        while True:
-            tok = self.toks.peek()
-            if tok[0] == "*":
-                self.toks.next()
-                value = value * self.pow()
-            elif tok[0] == "/":
-                self.toks.next()
-                rhs = self.pow()
-                if rhs.is_zero():
-                    raise TextSyntaxError(tok[2], "division by zero")
-                value = value / rhs
-            else:
-                return value
+        while self.toks.peek()[0] in ("*", "/"):
+            kind, _, pos = self.toks.next()
+            value = _combine(kind, pos, value, self.pow())
+        return value
 
     def pow(self) -> Scalar:
         value = self.atom()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -111,6 +112,12 @@ class TestBundleFormat:
     def test_unsupported_schema(self):
         with pytest.raises(BundleFormatError):
             bundle_from_dict(dict(MINIMAL, schema=99))
+
+    @pytest.mark.parametrize("schema", [True, 1.0, "1"])
+    def test_schema_is_the_json_integer_one(self, schema):
+        """true and 1.0 equal 1 in Python, but only the integer 1 names the schema."""
+        with pytest.raises(BundleFormatError, match=re.escape(f"unsupported schema {schema!r}")):
+            bundle_from_dict(dict(MINIMAL, schema=schema))
 
     def test_index_out_of_range(self):
         bad = dict(
@@ -229,6 +236,8 @@ class TestCli:
             ("index-a-fraction", malformed(ops={"mul": {"arity": 2, "entries": [[0.9, 0, 0, "1"]]}})),
             ("index-a-bool", malformed(ops={"mul": {"arity": 2, "entries": [[True, 0, 0, "1"]]}})),
             ("component-a-string", malformed(ops={"mul": {"arity": 2, "entries": [[0, 0, "1", "1"]]}})),
+            ("schema-a-bool", malformed(schema=True)),
+            ("schema-a-float", malformed(schema=1.0)),
         ],
     )
     def test_malformed_bundle_fields_exit_two(self, case, data, tmp_path, capsys):

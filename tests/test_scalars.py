@@ -95,6 +95,22 @@ def test_power_bounds():
         parse_scalar("(k1+k2+k3+k4+1)^14", params)
 
 
+def test_product_bounds():
+    """A + - * / is refused before its polynomial products pass
+    MAX_PRODUCT_TERMS terms: (k1+k2+k3+k4+1)^10*(k1+k2+k3+k4+1)^10 took 8.0 s
+    and (k1+k2+1)^41*(k1+k2+1)^41 7.1 s without the bound. A product within
+    it still parses, and a sum or quotient of two polynomials multiplies
+    neither by the other (see MALFORMED for more refusals)."""
+    params = ("k1", "k2", "k3", "k4")
+    assert len(parse_scalar("(k1+k2+1)^19*(k1+k2+1)^18", params).num.terms) == 741
+    for op in "+/":
+        value = parse_scalar(f"(k1+k2+1)^20 {op} (k1+k2+2)^20", params)
+        assert len(value.num.terms) == 231
+    for text in ("(k1+k2+k3+k4+1)^10*(k1+k2+k3+k4+1)^10", "(k1+k2+1)^20*(k1+k2+1)^19"):
+        with pytest.raises(TextSyntaxError, match="operands too large to combine"):
+            parse_scalar(text, params)
+
+
 class TestParsing:
     def test_poly_terms(self):
         s = S("2*k1^2 - k2/3")
@@ -144,6 +160,9 @@ MALFORMED = [
     ("(10^100*k1 + 1)^43", 15),
     ("(k1 + k2 + 1)^100", 13),
     ("(k1 + 1)^1999", 8),
+    # an operation whose polynomial products would pass 40,000 terms
+    ("(k1+k2+1)^20*(k1+k2+1)^18", 12),
+    ("1/(k1+k2+1)^20 + 1/(k1+k2+2)^20", 15),
 ]
 
 
