@@ -160,8 +160,8 @@ def _from_derivation(construction, second, term, bundle, d_name, a_name, b_name,
         laws.append((what, multiplicativity_identity(name, "mul", 2)))
     what = f"map {d_name!r} is not a derivation of the product"
     laws.append((what, derivation_identity(d_name, "mul", 2)))
-    maps = dict.fromkeys((a_name, b_name, d_name))
-    laws += itertools.starmap(_commute, itertools.combinations(maps, 2))
+    names = dict.fromkeys((a_name, b_name, d_name))
+    laws += itertools.starmap(_commute, itertools.combinations(names, 2))
     hyp.check(bundle, laws)
     ops = {
         **bundle.ops,
